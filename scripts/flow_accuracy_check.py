@@ -65,7 +65,7 @@ def main():
         dt = time.perf_counter() - t0
         epe = np.hypot(flow.u - dx, flow.v - dy)[mask].mean()
 
-        oracle = block_match_flow(tex, nxt, patch=7, search_radius=args.max_shift)
+        oracle = block_match_flow(tex, nxt, search_radius=args.max_shift)
         exact = np.all(oracle.u[mask] == dx) and np.all(oracle.v[mask] == dy)
         oracle_exact += int(exact)
         cross = np.hypot(flow.u - oracle.u, flow.v - oracle.v)[mask].mean()

@@ -22,12 +22,13 @@ from mostream.experiment import ExperimentConfig, run_desk_experiment
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--workdir", help="where to put the dataset (default: temp dir)")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--clips-per-class", type=int, default=100)
-    parser.add_argument("--iterations", type=int, default=400)
-    parser.add_argument("--batch-size", type=int, default=16)
-    parser.add_argument("--input-side", type=int, default=32)
-    parser.add_argument("--test-samples", type=int, default=25)
+    d = ExperimentConfig
+    parser.add_argument("--seed", type=int, default=d.seed)
+    parser.add_argument("--clips-per-class", type=int, default=d.clips_per_class)
+    parser.add_argument("--iterations", type=int, default=d.iterations)
+    parser.add_argument("--batch-size", type=int, default=d.batch_size)
+    parser.add_argument("--input-side", type=int, default=d.input_side)
+    parser.add_argument("--test-samples", type=int, default=d.test_samples)
     args = parser.parse_args()
 
     cfg = ExperimentConfig(

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .raster import Rng, rng_uniform
+from .raster import Rng, resize_bilinear, rng_uniform
 from .volume import InputVolume
 
 DEFAULT_OUT_SIDE = 224
@@ -92,23 +92,6 @@ def random_multiscale_crop(
     return CropSpec(position.x, position.y, crop_w, crop_h, flip, out_side)
 
 
-def _resize_volume(vol, out_h, out_w):
-    c, in_h, in_w = vol.shape
-    if (in_h, in_w) == (out_h, out_w):
-        return vol.copy()
-    xs = np.linspace(0.0, in_w - 1.0, out_w)
-    ys = np.linspace(0.0, in_h - 1.0, out_h)
-    x0 = np.floor(xs).astype(np.intp)
-    y0 = np.floor(ys).astype(np.intp)
-    x1 = np.minimum(x0 + 1, in_w - 1)
-    y1 = np.minimum(y0 + 1, in_h - 1)
-    fx = xs - x0
-    fy = ys - y0
-    top = vol[:, y0[:, None], x0[None, :]] * (1.0 - fx) + vol[:, y0[:, None], x1[None, :]] * fx
-    bot = vol[:, y1[:, None], x0[None, :]] * (1.0 - fx) + vol[:, y1[:, None], x1[None, :]] * fx
-    return top * (1.0 - fy[:, None]) + bot * fy[:, None]
-
-
 def apply_crop(volume: InputVolume, spec: CropSpec) -> InputVolume:
     """Crop, optionally mirror, and resize a volume to out_side x out_side."""
     volume = np.asarray(volume, dtype=np.float64)
@@ -122,4 +105,4 @@ def apply_crop(volume: InputVolume, spec: CropSpec) -> InputVolume:
     window = volume[:, spec.y : spec.y + spec.crop_h, spec.x : spec.x + spec.crop_w]
     if spec.flip:
         window = window[:, :, ::-1]
-    return _resize_volume(window, spec.out_side, spec.out_side)
+    return resize_bilinear(window, spec.out_side, spec.out_side)

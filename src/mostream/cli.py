@@ -16,6 +16,7 @@ import numpy as np
 
 from . import formats, net, pipeline, synth
 from .fusion import (
+    DEFAULT_TEST_SAMPLES,
     PredictParams,
     VideoPrediction,
     argmax_class,
@@ -24,21 +25,21 @@ from .fusion import (
     fuse,
     predict_from_pairs,
 )
-from .mos import MosParams, mos_images, xy_images
+from .mos import DEFAULT_MAG_THRESHOLD, MAG_BOUNDS, ORI_BOUNDS, MosParams, mos_images, xy_images
 from .raster import RescaleBounds, make_rng
 from .tvl1 import Tvl1Params, video_flows
-from .volume import StackSpec, stack_volume
+from .volume import DEFAULT_STACK_LENGTH, StackSpec, stack_volume
 
 
 def _add_tvl1_flags(p):
-    p.add_argument("--flow-lambda", type=float, default=0.15, help="data attachment weight")
-    p.add_argument("--tv-theta", type=float, default=0.3)
-    p.add_argument("--tau", type=float, default=0.25)
-    p.add_argument("--pyramid-scale", type=float, default=0.5)
-    p.add_argument("--levels", type=int, default=5)
-    p.add_argument("--warps", type=int, default=5)
-    p.add_argument("--inner-iterations", type=int, default=10)
-    p.add_argument("--stop-epsilon", type=float, default=0.01)
+    p.add_argument("--flow-lambda", type=float, default=Tvl1Params.lam, help="data attachment weight")
+    p.add_argument("--tv-theta", type=float, default=Tvl1Params.tv_theta)
+    p.add_argument("--tau", type=float, default=Tvl1Params.tau)
+    p.add_argument("--pyramid-scale", type=float, default=Tvl1Params.pyramid_scale)
+    p.add_argument("--levels", type=int, default=Tvl1Params.levels)
+    p.add_argument("--warps", type=int, default=Tvl1Params.warps_per_level)
+    p.add_argument("--inner-iterations", type=int, default=Tvl1Params.inner_iterations)
+    p.add_argument("--stop-epsilon", type=float, default=Tvl1Params.stop_epsilon)
 
 
 def _tvl1_params(args):
@@ -55,11 +56,11 @@ def _tvl1_params(args):
 
 
 def _add_mos_flags(p):
-    p.add_argument("--mag-low", type=float, default=-15.0)
-    p.add_argument("--mag-high", type=float, default=15.0)
-    p.add_argument("--ori-low", type=float, default=-180.0)
-    p.add_argument("--ori-high", type=float, default=180.0)
-    p.add_argument("--mag-threshold", type=int, default=128)
+    p.add_argument("--mag-low", type=float, default=MAG_BOUNDS.low)
+    p.add_argument("--mag-high", type=float, default=MAG_BOUNDS.high)
+    p.add_argument("--ori-low", type=float, default=ORI_BOUNDS.low)
+    p.add_argument("--ori-high", type=float, default=ORI_BOUNDS.high)
+    p.add_argument("--mag-threshold", type=int, default=DEFAULT_MAG_THRESHOLD)
 
 
 def _mos_params(args):
@@ -142,8 +143,8 @@ def cmd_volume(args):
     return 0
 
 
-def cmd_synth(args):
-    spec = synth.SyntheticSpec(
+def _synthetic_spec(args):
+    return synth.SyntheticSpec(
         frame_size=(args.frame_size, args.frame_size),
         frames_per_clip=args.frames_per_clip,
         clips_per_class=args.clips_per_class,
@@ -153,21 +154,16 @@ def cmd_synth(args):
         train_fraction=args.train_fraction,
         stack_length=args.stack_length,
     )
-    entries = synth.gen_synthetic(spec, make_rng(args.seed), args.output)
+
+
+def cmd_synth(args):
+    entries = synth.gen_synthetic(_synthetic_spec(args), make_rng(args.seed), args.output)
     labels = formats.manifest_classes(entries)
     print(f"wrote {len(entries)} clips across {len(labels)} classes to {args.output}")
     return 0
 
 
-def _load_manifest_dataset(args, mode="mos", split=None):
-    manifest_path = Path(args.manifest)
-    all_entries = formats.read_manifest(manifest_path)
-    classes = formats.manifest_classes(all_entries)
-    entries = all_entries
-    if split:
-        entries = [e for e in all_entries if e.split == split]
-        if not entries:
-            raise ValueError(f"manifest has no {split!r} entries")
+def _load_manifest_dataset(args, entries):
     start = time.perf_counter()
 
     def progress(done, total):
@@ -175,22 +171,22 @@ def _load_manifest_dataset(args, mode="mos", split=None):
             rate = done / (time.perf_counter() - start)
             print(f"  pairs for {done}/{total} clips ({rate:.1f} clips/s)", flush=True)
 
-    dataset = pipeline.load_dataset(
-        entries, manifest_path.parent, _tvl1_params(args), _mos_params(args), mode, progress
+    return pipeline.load_dataset(
+        entries, Path(args.manifest).parent, _tvl1_params(args), _mos_params(args), args.mode, progress
     )
-    return classes, dataset
 
 
-def cmd_train(args):
-    classes, dataset = _load_manifest_dataset(args, mode=args.mode)
-    config = net.desk_net_config(
+def _net_config(args, num_classes):
+    return net.desk_net_config(
         input_shape=(2 * args.stack_length, args.input_side, args.input_side),
-        num_classes=len(classes),
+        num_classes=num_classes,
         fc_width=args.fc_width,
         dropout=args.dropout,
     )
-    model = net.TinyNet(config, make_rng(args.seed))
-    cfg = net.TrainConfig(
+
+
+def _train_config(args):
+    return net.TrainConfig(
         base_lr=args.base_lr,
         lr_step=args.lr_step,
         lr_factor=args.lr_factor,
@@ -200,7 +196,15 @@ def cmd_train(args):
         batch_size=args.batch_size,
         seed=args.seed,
     )
+
+
+def cmd_train(args):
+    entries = formats.read_manifest(args.manifest)
+    classes = formats.manifest_classes(entries)
+    model = net.TinyNet(_net_config(args, len(classes)), make_rng(args.seed))
+    cfg = _train_config(args)
     train_pipe = pipeline.TrainPipeline(stack=StackSpec(args.stack_length), out_side=args.input_side)
+    dataset = _load_manifest_dataset(args, entries)
 
     def progress(it, lr, loss):
         if args.verbose and (it % 50 == 0 or it == cfg.max_iter - 1):
@@ -215,19 +219,28 @@ def cmd_train(args):
 
 
 def cmd_predict(args):
+    # Stack length and input side come from the checkpoint; check it before any flow work.
     model, _ = net.load_checkpoint(args.checkpoint)
-    classes, dataset = _load_manifest_dataset(args, mode=args.mode, split=args.split)
-    clips = dataset.test_clips if args.split == "test" else [
-        c for group in dataset.train_by_class for c in group
-    ]
+    channels, side, width = model.config.input_shape
+    if channels % 2 or side != width:
+        raise ValueError(f"{args.checkpoint}: input shape {(channels, side, width)} is not (2L, S, S)")
+    entries = formats.read_manifest(args.manifest)
+    num_classes = len(formats.manifest_classes(entries))
+    if model.config.num_classes != num_classes:
+        raise ValueError(f"{args.checkpoint} has {model.config.num_classes} classes, the manifest {num_classes}")
+    entries = [e for e in entries if e.split == args.split]
+    if not entries:
+        raise ValueError(f"manifest has no {args.split!r} entries")
     params = PredictParams(
         tvl1=_tvl1_params(args),
         mos=_mos_params(args),
-        stack=StackSpec(args.stack_length),
+        stack=StackSpec(channels // 2),
         k_samples=args.samples,
-        out_side=model.config.input_shape[1],
+        out_side=side,
         mode=args.mode,
     )
+    dataset = _load_manifest_dataset(args, entries)
+    clips = dataset.test_clips + [c for group in dataset.train_by_class for c in group]
     ids = []
     rows = []
     for clip in clips:
@@ -322,7 +335,7 @@ def build_parser():
     p.add_argument("input")
     p.add_argument("output")
     p.add_argument("--manifest")
-    p.add_argument("--mode", choices=("mos", "xy"), default="mos")
+    p.add_argument("--mode", choices=("mos", "xy"), default=PredictParams.mode)
     _add_mos_flags(p)
     p.set_defaults(func=cmd_mos)
 
@@ -330,39 +343,39 @@ def build_parser():
     p.add_argument("input")
     p.add_argument("output")
     p.add_argument("--manifest")
-    p.add_argument("--stack-length", type=int, default=10)
+    p.add_argument("--stack-length", type=int, default=DEFAULT_STACK_LENGTH)
     p.set_defaults(func=cmd_volume)
 
     p = sub.add_parser("synth", help="generate a synthetic moving-texture dataset")
     p.add_argument("output")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--frame-size", type=int, default=64)
-    p.add_argument("--frames-per-clip", type=int, default=12)
-    p.add_argument("--clips-per-class", type=int, default=20)
-    p.add_argument("--speeds", default="1,3")
-    p.add_argument("--directions", default="right,left,up,down")
-    p.add_argument("--motions", default="translate")
-    p.add_argument("--train-fraction", type=float, default=0.8)
-    p.add_argument("--stack-length", type=int, default=10)
+    p.add_argument("--seed", type=int, default=net.TrainConfig.seed)
+    p.add_argument("--frame-size", type=int, default=synth.SyntheticSpec.frame_size[0])
+    p.add_argument("--frames-per-clip", type=int, default=synth.SyntheticSpec.frames_per_clip)
+    p.add_argument("--clips-per-class", type=int, default=synth.SyntheticSpec.clips_per_class)
+    p.add_argument("--speeds", default=",".join(map(str, synth.SyntheticSpec.speeds)))
+    p.add_argument("--directions", default=",".join(synth.SyntheticSpec.directions))
+    p.add_argument("--motions", default=",".join(synth.SyntheticSpec.motions))
+    p.add_argument("--train-fraction", type=float, default=synth.SyntheticSpec.train_fraction)
+    p.add_argument("--stack-length", type=int, default=synth.SyntheticSpec.stack_length)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("train", help="manifest -> checkpoint + loss CSV")
     p.add_argument("--manifest", required=True)
     p.add_argument("--output", required=True, help="checkpoint path")
     p.add_argument("--loss-csv")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--iterations", type=int, default=600)
-    p.add_argument("--batch-size", type=int, default=32)
-    p.add_argument("--base-lr", type=float, default=0.005)
-    p.add_argument("--lr-step", type=int, default=5000)
-    p.add_argument("--lr-factor", type=float, default=0.1)
-    p.add_argument("--momentum", type=float, default=0.9)
-    p.add_argument("--weight-decay", type=float, default=0.0005)
-    p.add_argument("--dropout", type=float, default=0.5)
-    p.add_argument("--fc-width", type=int, default=64)
-    p.add_argument("--stack-length", type=int, default=10)
-    p.add_argument("--input-side", type=int, default=56)
-    p.add_argument("--mode", choices=("mos", "xy"), default="mos")
+    p.add_argument("--seed", type=int, default=net.TrainConfig.seed)
+    p.add_argument("--iterations", type=int, default=net.TrainConfig.max_iter)
+    p.add_argument("--batch-size", type=int, default=net.TrainConfig.batch_size)
+    p.add_argument("--base-lr", type=float, default=net.TrainConfig.base_lr)
+    p.add_argument("--lr-step", type=int, default=net.TrainConfig.lr_step)
+    p.add_argument("--lr-factor", type=float, default=net.TrainConfig.lr_factor)
+    p.add_argument("--momentum", type=float, default=net.TrainConfig.momentum)
+    p.add_argument("--weight-decay", type=float, default=net.TrainConfig.weight_decay)
+    p.add_argument("--dropout", type=float, default=net.DEFAULT_DROPOUT)
+    p.add_argument("--fc-width", type=int, default=net.DEFAULT_FC_WIDTH)
+    p.add_argument("--stack-length", type=int, default=DEFAULT_STACK_LENGTH)
+    p.add_argument("--input-side", type=int, default=net.DEFAULT_INPUT_SIDE)
+    p.add_argument("--mode", choices=("mos", "xy"), default=PredictParams.mode)
     p.add_argument("--verbose", action="store_true")
     _add_tvl1_flags(p)
     _add_mos_flags(p)
@@ -372,11 +385,10 @@ def build_parser():
     p.add_argument("--manifest", required=True)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--output", required=True)
-    p.add_argument("--seed", type=int, default=0, help="accepted for chain uniformity; prediction is deterministic")
-    p.add_argument("--samples", type=int, default=25)
+    p.add_argument("--seed", type=int, default=net.TrainConfig.seed, help="unused: prediction is deterministic")
+    p.add_argument("--samples", type=int, default=DEFAULT_TEST_SAMPLES)
     p.add_argument("--split", choices=("train", "test"), default="test")
-    p.add_argument("--stack-length", type=int, default=10)
-    p.add_argument("--mode", choices=("mos", "xy"), default="mos")
+    p.add_argument("--mode", choices=("mos", "xy"), default=PredictParams.mode)
     p.add_argument("--verbose", action="store_true")
     _add_tvl1_flags(p)
     _add_mos_flags(p)

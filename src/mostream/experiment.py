@@ -18,13 +18,13 @@ import numpy as np
 
 from . import net
 from .formats import manifest_classes
-from .fusion import PredictParams, evaluate, predict_from_pairs
+from .fusion import DEFAULT_TEST_SAMPLES, PredictParams, evaluate, predict_from_pairs
 from .mos import MosParams
 from .pipeline import ClipDataset, TrainPipeline, load_dataset, zero_magnitude_channels
 from .raster import make_rng
 from .synth import SyntheticSpec, gen_synthetic
 from .tvl1 import Tvl1Params
-from .volume import StackSpec
+from .volume import DEFAULT_STACK_LENGTH, StackSpec
 
 
 @dataclass(frozen=True)
@@ -34,13 +34,13 @@ class ExperimentConfig:
     # nothing discriminative is lost relative to the 56-pixel default.
     seed: int = 0
     clips_per_class: int = 100
-    frame_size: int = 64
-    frames_per_clip: int = 12
-    stack_length: int = 10
+    frame_size: int = SyntheticSpec.frame_size[0]
+    frames_per_clip: int = SyntheticSpec.frames_per_clip
+    stack_length: int = DEFAULT_STACK_LENGTH
     input_side: int = 32
     iterations: int = 400
     batch_size: int = 16
-    test_samples: int = 25
+    test_samples: int = DEFAULT_TEST_SAMPLES
     tvl1: Tvl1Params = field(default_factory=Tvl1Params)
     mos: MosParams = field(default_factory=MosParams)
 

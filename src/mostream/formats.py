@@ -257,8 +257,11 @@ def read_scores_csv(path):
         parts = line.split(",")
         if len(parts) != k + 1:
             raise FormatError(f"{path}:{lineno}: expected {k + 1} columns, got {len(parts)}")
+        row = [float(x) for x in parts[1:]]
+        if not np.isfinite(row).all():
+            raise FormatError(f"{path}:{lineno}: non-finite score in {line!r}")
         ids.append(parts[0])
-        rows.append([float(x) for x in parts[1:]])
+        rows.append(row)
     return ids, np.asarray(rows, dtype=np.float64)
 
 

@@ -14,6 +14,7 @@ import numpy as np
 
 from .augment import apply_crop, ten_crops
 from .mos import MosParams, mos_images, xy_images
+from .net import DEFAULT_INPUT_SIDE
 from .tvl1 import Tvl1Params, video_flows
 from .volume import StackSpec, sample_test_starts, stack_volume
 
@@ -33,7 +34,7 @@ class PredictParams:
     stack: StackSpec = field(default_factory=StackSpec)
     k_samples: int = DEFAULT_TEST_SAMPLES
     crop_fraction: float = DEFAULT_TEST_CROP_FRACTION
-    out_side: int = 56
+    out_side: int = DEFAULT_INPUT_SIDE
     mode: str = "mos"
     volume_transform: Callable | None = None
 
@@ -142,6 +143,8 @@ def evaluate(predictions: Sequence[VideoPrediction], labels: dict, num_classes: 
     for pred in predictions:
         if pred.video_id not in labels:
             raise ValueError(f"unknown video id {pred.video_id!r}")
+        if not 0 <= pred.predicted < num_classes:
+            raise ValueError(f"video {pred.video_id!r}: predicted class {pred.predicted} of {num_classes}")
         confusion[labels[pred.video_id], pred.predicted] += 1
     total = confusion.sum()
     if total == 0:

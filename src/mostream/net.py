@@ -14,15 +14,21 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Callable, Sequence, Union
 
 import numpy as np
 
 from .raster import Rng, make_rng, rng_uniform
+from .volume import DEFAULT_STACK_LENGTH
 
 CHECKPOINT_MAGIC = b"MOSN"
 CHECKPOINT_VERSION = 1
+
+# Desk-scale network: square input side, hidden FC width, its dropout rate.
+DEFAULT_INPUT_SIDE = 56
+DEFAULT_FC_WIDTH = 64
+DEFAULT_DROPOUT = 0.5
 
 
 @dataclass(frozen=True)
@@ -74,11 +80,10 @@ class NetConfig:
 
 
 def desk_net_config(
-    input_shape: tuple[int, int, int] = (20, 56, 56),
+    input_shape: tuple[int, int, int] = (2 * DEFAULT_STACK_LENGTH, DEFAULT_INPUT_SIDE, DEFAULT_INPUT_SIDE),
     num_classes: int = 8,
-    conv_channels: tuple[int, int] = (16, 32),
-    fc_width: int = 64,
-    dropout: float = 0.5,
+    fc_width: int = DEFAULT_FC_WIDTH,
+    dropout: float = DEFAULT_DROPOUT,
 ) -> NetConfig:
     """Default desk-scale architecture: two conv/pool blocks, one hidden
     fully connected layer with dropout, then the class logits."""
@@ -86,10 +91,10 @@ def desk_net_config(
         input_shape=input_shape,
         num_classes=num_classes,
         layers=(
-            ConvSpec(conv_channels[0]),
+            ConvSpec(16),
             ReluSpec(),
             PoolSpec(),
-            ConvSpec(conv_channels[1]),
+            ConvSpec(32),
             ReluSpec(),
             PoolSpec(),
             FcSpec(fc_width),
@@ -105,11 +110,10 @@ class TrainConfig:
     base_lr: float = 0.005
     lr_step: int = 5000
     lr_factor: float = 0.1
-    max_iter: int = 15000
+    max_iter: int = 600
     momentum: float = 0.9
     weight_decay: float = 0.0005
     batch_size: int = 32
-    fc_dropout: tuple[float, float] = (0.9, 0.8)
     seed: int = 0
 
     def __post_init__(self):
@@ -495,30 +499,14 @@ _SPEC_TAGS = {
 
 
 def _spec_to_dict(spec):
-    tag = _SPEC_TAGS[type(spec)]
-    d = {"type": tag}
-    if isinstance(spec, ConvSpec):
-        d.update(out_channels=spec.out_channels, kernel=spec.kernel, stride=spec.stride, pad=spec.pad)
-    elif isinstance(spec, FcSpec):
-        d.update(width=spec.width)
-    elif isinstance(spec, DropoutSpec):
-        d.update(rate=spec.rate)
-    return d
+    return {"type": _SPEC_TAGS[type(spec)], **asdict(spec)}
 
 
 def _spec_from_dict(d):
-    tag = d["type"]
-    if tag == "conv":
-        return ConvSpec(d["out_channels"], d["kernel"], d["stride"], d["pad"])
-    if tag == "relu":
-        return ReluSpec()
-    if tag == "pool":
-        return PoolSpec()
-    if tag == "fc":
-        return FcSpec(d["width"])
-    if tag == "dropout":
-        return DropoutSpec(d["rate"])
-    raise ValueError(f"unknown layer descriptor type {tag!r}")
+    cls = {tag: c for c, tag in _SPEC_TAGS.items()}.get(d["type"])
+    if cls is None:
+        raise ValueError(f"unknown layer descriptor type {d['type']!r}")
+    return cls(**{f.name: d[f.name] for f in fields(cls)})
 
 
 def save_checkpoint(net: TinyNet, path, iterations: int = 0):
@@ -549,24 +537,29 @@ def load_checkpoint(path) -> tuple[TinyNet, dict]:
         data = f.read()
     if data[:4] != CHECKPOINT_MAGIC:
         raise ValueError(f"bad checkpoint magic {data[:4]!r}, expected {CHECKPOINT_MAGIC!r}")
+    if len(data) < 9:
+        raise ValueError(f"{path}: truncated checkpoint header, {len(data)} bytes")
     if data[4] != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {data[4]}")
     (blob_len,) = struct.unpack_from("<I", data, 5)
     header = json.loads(data[9 : 9 + blob_len].decode("utf-8"))
-    config = NetConfig(
-        input_shape=tuple(header["input_shape"]),
-        num_classes=header["num_classes"],
-        layers=tuple(_spec_from_dict(d) for d in header["layers"]),
-    )
-    net = TinyNet(config, make_rng(0))
     offset = 9 + blob_len
-    for (i, name, arr), meta in zip(net.parameters(), header["params"]):
-        if [i, name] != [meta["layer"], meta["name"]] or list(arr.shape) != meta["shape"]:
-            raise ValueError("checkpoint parameter table does not match the architecture")
-        count = int(np.prod(arr.shape))
-        vals = np.frombuffer(data, dtype="<f8", count=count, offset=offset)
-        arr[...] = vals.reshape(arr.shape)
-        offset += count * 8
+    try:
+        config = NetConfig(
+            input_shape=tuple(header["input_shape"]),
+            num_classes=header["num_classes"],
+            layers=tuple(_spec_from_dict(d) for d in header["layers"]),
+        )
+        net = TinyNet(config, make_rng(0))
+        for (i, name, arr), meta in zip(net.parameters(), header["params"]):
+            if [i, name] != [meta["layer"], meta["name"]] or list(arr.shape) != meta["shape"]:
+                raise ValueError("checkpoint parameter table does not match the architecture")
+            count = int(np.prod(arr.shape))
+            vals = np.frombuffer(data, dtype="<f8", count=count, offset=offset)
+            arr[...] = vals.reshape(arr.shape)
+            offset += count * 8
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"{path}: malformed checkpoint header ({type(exc).__name__}: {exc})") from None
     if offset != len(data):
         raise ValueError(f"checkpoint has {len(data) - offset} trailing bytes")
     return net, header

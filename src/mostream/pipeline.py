@@ -9,10 +9,11 @@ from typing import Callable
 
 import numpy as np
 
-from .augment import ScaleSet, apply_crop, random_multiscale_crop
+from .augment import apply_crop, random_multiscale_crop
 from .formats import ManifestEntry, read_pgm, read_ppm
 from .fusion import pairs_from_frames
 from .mos import MosParams
+from .net import DEFAULT_INPUT_SIDE
 from .raster import Rng, to_gray
 from .tvl1 import Tvl1Params
 from .volume import StackSpec, sample_train_start, stack_volume
@@ -91,8 +92,7 @@ class TrainPipeline:
     """Randomized volume construction used by the training loop."""
 
     stack: StackSpec = field(default_factory=StackSpec)
-    scales: ScaleSet = field(default_factory=ScaleSet)
-    out_side: int = 56
+    out_side: int = DEFAULT_INPUT_SIDE
     volume_transform: Callable | None = None
 
     def make_volume(self, clip: Clip, rng: Rng) -> np.ndarray:
@@ -101,7 +101,7 @@ class TrainPipeline:
         if self.volume_transform is not None:
             vol = self.volume_transform(vol)
         h, w = vol.shape[1:]
-        crop = random_multiscale_crop(w, h, self.scales, rng, self.out_side)
+        crop = random_multiscale_crop(w, h, rng=rng, out_side=self.out_side)
         return apply_crop(vol, crop)
 
 

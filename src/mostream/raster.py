@@ -101,19 +101,25 @@ def bilinear_sample(img: np.ndarray, x: float, y: float) -> float:
 
 
 def resize_bilinear(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
-    """Bilinear resize with corner-aligned coordinate mapping.
-
-    Identity when the output size equals the input size.
-    """
+    """Corner-aligned bilinear resize of the last two axes of (..., H, W):
+    a horizontal pass, then a blend of rows, each output element getting the
+    arithmetic of ``bilinear_map`` on the output grid."""
     if out_h < 1 or out_w < 1:
         raise ValueError(f"invalid output size {out_h}x{out_w}")
-    in_h, in_w = img.shape
+    img = np.asarray(img, dtype=np.float64)
+    in_h, in_w = img.shape[-2:]
     if (in_h, in_w) == (out_h, out_w):
-        return np.array(img, dtype=np.float64)
+        return img.copy()
     xs = np.linspace(0.0, in_w - 1.0, out_w)
     ys = np.linspace(0.0, in_h - 1.0, out_h)
-    gx, gy = np.meshgrid(xs, ys)
-    return bilinear_map(img, gx, gy)
+    x0 = np.floor(xs).astype(np.intp)
+    y0 = np.floor(ys).astype(np.intp)
+    x1 = np.minimum(x0 + 1, in_w - 1)
+    y1 = np.minimum(y0 + 1, in_h - 1)
+    fx = xs - x0
+    fy = (ys - y0)[:, None]
+    rows = img[..., x0] * (1.0 - fx) + img[..., x1] * fx
+    return rows[..., y0, :] * (1.0 - fy) + rows[..., y1, :] * fy
 
 
 def to_gray(rgb: np.ndarray) -> GrayImage:

@@ -18,6 +18,7 @@ from scipy.ndimage import gaussian_filter
 
 from .formats import ManifestEntry, write_manifest, write_pgm
 from .raster import Rng, bilinear_map, rng_uniform
+from .volume import DEFAULT_STACK_LENGTH
 
 DIRECTIONS = {
     "right": (1.0, 0.0),
@@ -47,7 +48,7 @@ class SyntheticSpec:
     motions: tuple[str, ...] = ("translate",)
     train_fraction: float = 0.8
     texture_sigma: float = 1.5
-    stack_length: int = 10
+    stack_length: int = DEFAULT_STACK_LENGTH
 
     def __post_init__(self):
         if self.frames_per_clip < self.stack_length + 2:

@@ -112,13 +112,9 @@ def _normalize_pair(prev, nxt):
     return (prev - lo) * scale, (nxt - lo) * scale
 
 
-def _downscale(img, scale):
-    h, w = img.shape
-    nh = max(1, int(round(h * scale)))
-    nw = max(1, int(round(w * scale)))
+def _downscale(img, scale, size):
     sigma = 0.6 * np.sqrt(1.0 / scale**2 - 1.0)
-    smoothed = gaussian_filter(img, sigma, mode="nearest")
-    return resize_bilinear(smoothed, nh, nw)
+    return resize_bilinear(gaussian_filter(img, sigma, mode="nearest"), *size)
 
 
 def _pyramid_sizes(h, w, params):
@@ -227,10 +223,9 @@ def tvl1_flow(
     sizes = _pyramid_sizes(h, w, params)
     pyr0 = [i0]
     pyr1 = [i1]
-    for nh, nw in sizes[1:]:
-        scale = params.pyramid_scale
-        pyr0.append(_downscale(pyr0[-1], scale))
-        pyr1.append(_downscale(pyr1[-1], scale))
+    for size in sizes[1:]:
+        pyr0.append(_downscale(pyr0[-1], params.pyramid_scale, size))
+        pyr1.append(_downscale(pyr1[-1], params.pyramid_scale, size))
 
     ch, cw = sizes[-1]
     u = np.zeros((ch, cw))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mostream import cli
 from mostream.cli import main
 from mostream.formats import (
     read_flo,
@@ -9,8 +10,13 @@ from mostream.formats import (
     read_scores_csv,
     read_tensor,
 )
-from mostream.mos import mos_images
-from mostream.net import load_checkpoint
+from mostream.fusion import PredictParams
+from mostream.mos import MosParams, mos_images
+from mostream.net import TinyNet, TrainConfig, desk_net_config, load_checkpoint, save_checkpoint
+from mostream.raster import make_rng
+from mostream.synth import SyntheticSpec
+from mostream.tvl1 import Tvl1Params
+from mostream.volume import StackSpec
 
 
 @pytest.fixture(scope="module")
@@ -55,7 +61,6 @@ class TestDefaults:
             ["predict", "--manifest", "m", "--checkpoint", "c", "--output", "o"]
         )
         assert args.samples == 25
-        assert args.stack_length == 10
 
     def test_train_defaults_follow_reference_schedule(self):
         from mostream.cli import build_parser
@@ -66,6 +71,54 @@ class TestDefaults:
         assert args.lr_factor == 0.1
         assert args.momentum == 0.9
         assert args.weight_decay == 0.0005
+
+
+def _built_from_defaults(args):
+    """The objects a subcommand builds from its parsed flags."""
+    built = {}
+    if hasattr(args, "flow_lambda"):
+        built["tvl1"] = cli._tvl1_params(args)
+    if hasattr(args, "mag_low"):
+        built["mos"] = cli._mos_params(args)
+    if args.command == "volume":
+        built["stack"] = StackSpec(args.stack_length)
+    if args.command == "synth":
+        built["synth"] = cli._synthetic_spec(args)
+    if args.command == "train":
+        built["train"] = cli._train_config(args)
+        built["net"] = cli._net_config(args, 8)
+    if args.command == "predict":
+        built["predict"] = PredictParams(
+            tvl1=built["tvl1"], mos=built["mos"], k_samples=args.samples, mode=args.mode
+        )
+    return built
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["flow", "i", "o"], {"tvl1": Tvl1Params()}),
+        (["mos", "i", "o"], {"mos": MosParams()}),
+        (["volume", "i", "o"], {"stack": StackSpec()}),
+        (["synth", "o"], {"synth": SyntheticSpec()}),
+        (
+            ["train", "--manifest", "m", "--output", "o"],
+            {
+                "tvl1": Tvl1Params(),
+                "mos": MosParams(),
+                "train": TrainConfig(seed=0),
+                "net": desk_net_config(),
+            },
+        ),
+        (
+            ["predict", "--manifest", "m", "--checkpoint", "c", "--output", "o"],
+            {"tvl1": Tvl1Params(), "mos": MosParams(), "predict": PredictParams()},
+        ),
+    ],
+    ids=lambda v: v[0] if isinstance(v, list) else None,
+)
+def test_flag_defaults_equal_library_defaults(argv, expected):
+    assert _built_from_defaults(cli.build_parser().parse_args(argv)) == expected
 
 
 class TestFlowMosVolumeChain:
@@ -217,3 +270,81 @@ class TestExitCodes:
             write_pgm(clip / f"ori_{t:04d}.pgm", rng.integers(0, 256, (8, 8), dtype=np.uint8))
         assert main(["volume", str(clip), str(tmp_path / "out"), "--stack-length", "10"]) == 1
         assert "need 10 pairs" in capsys.readouterr().err
+
+
+def assert_one_line_error(capsys):
+    err = capsys.readouterr().err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), err
+
+
+class TestHostileInputs:
+    def test_eval_scores_with_extra_class(self, tiny_dataset, tmp_path, capsys):
+        manifest = tiny_dataset / "manifest.tsv"
+        test_ids = [e.path for e in read_manifest(manifest) if e.split == "test"]
+        scores = tmp_path / "scores.csv"
+        scores.write_text(
+            "video_id,class_0,class_1,class_2\n" + "".join(f"{v},0.1,0.2,0.7\n" for v in test_ids)
+        )
+        assert main(["eval", "--scores", str(scores), "--manifest", str(manifest)]) == 1
+        assert_one_line_error(capsys)
+
+    def test_eval_scores_with_nan(self, tiny_dataset, tmp_path, capsys):
+        manifest = tiny_dataset / "manifest.tsv"
+        test_ids = [e.path for e in read_manifest(manifest) if e.split == "test"]
+        scores = tmp_path / "scores.csv"
+        scores.write_text(
+            "video_id,class_0,class_1\n" f"{test_ids[0]},nan,nan\n" f"{test_ids[1]},0.2,0.8\n"
+        )
+        assert main(["eval", "--scores", str(scores), "--manifest", str(manifest)]) == 1
+        assert_one_line_error(capsys)
+
+    @staticmethod
+    def _forbid_flow_work(monkeypatch):
+        def no_flow_work(*args, **kwargs):
+            raise AssertionError("flow work started before the settings were checked")
+
+        monkeypatch.setattr(cli.pipeline, "load_dataset", no_flow_work)
+
+    @staticmethod
+    def _checkpoint(tmp_path, input_shape=(20, 24, 24), num_classes=2):
+        path = tmp_path / "model.mosn"
+        config = desk_net_config(input_shape=input_shape, num_classes=num_classes)
+        save_checkpoint(TinyNet(config, make_rng(0)), path)
+        return path
+
+    def _predict(self, tiny_dataset, ckpt, tmp_path, monkeypatch, *extra):
+        self._forbid_flow_work(monkeypatch)
+        argv = ["predict", "--manifest", str(tiny_dataset / "manifest.tsv"),
+                "--checkpoint", str(ckpt), "--output", str(tmp_path / "scores.csv"), *extra]
+        return main(argv)
+
+    @pytest.mark.parametrize(
+        "input_shape, num_classes",
+        [((20, 24, 24), 3), ((21, 24, 24), 2), ((20, 24, 16), 2)],
+        ids=["class_count", "odd_channels", "non_square"],
+    )
+    def test_predict_checkpoint_mismatch(self, tiny_dataset, tmp_path, monkeypatch, capsys,
+                                         input_shape, num_classes):
+        ckpt = self._checkpoint(tmp_path, input_shape, num_classes)
+        assert self._predict(tiny_dataset, ckpt, tmp_path, monkeypatch) == 1
+        assert_one_line_error(capsys)
+
+    def test_predict_checkpoint_missing_header_key(self, tiny_dataset, tmp_path, monkeypatch, capsys):
+        ckpt = self._checkpoint(tmp_path)
+        data = ckpt.read_bytes()
+        ckpt.write_bytes(data.replace(b'"num_classes": 2', b'"num_klasses": 2'))
+        assert self._predict(tiny_dataset, ckpt, tmp_path, monkeypatch) == 1
+        assert_one_line_error(capsys)
+
+    def test_predict_bad_samples_before_flow_work(self, tiny_dataset, tmp_path, monkeypatch, capsys):
+        ckpt = self._checkpoint(tmp_path)
+        assert self._predict(tiny_dataset, ckpt, tmp_path, monkeypatch, "--samples", "0") == 1
+        assert_one_line_error(capsys)
+
+    def test_train_bad_dropout_before_flow_work(self, tiny_dataset, tmp_path, monkeypatch, capsys):
+        self._forbid_flow_work(monkeypatch)
+        argv = ["train", "--manifest", str(tiny_dataset / "manifest.tsv"),
+                "--output", str(tmp_path / "model.mosn"), "--dropout", "1.5"]
+        assert main(argv) == 1
+        assert_one_line_error(capsys)

@@ -195,6 +195,13 @@ class TestCsv:
         write_scores_csv(path, ["v"], np.array([[0.123456789123, 0.5]]))
         assert "0.123456789" in path.read_text()
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_scores_rejects_non_finite(self, tmp_path, value):
+        path = tmp_path / "scores.csv"
+        path.write_text(f"video_id,class_0,class_1\nv0,0.5,0.5\nv1,{value},0.5\n")
+        with pytest.raises(FormatError, match=":3:"):
+            read_scores_csv(path)
+
     def test_loss_csv(self, tmp_path):
         path = tmp_path / "loss.csv"
         write_loss_csv(path, [(0, 0.005, 2.0794), (1, 0.005, 1.5)])

@@ -196,6 +196,11 @@ class TestEvaluate:
         with pytest.raises(ValueError, match="unknown video"):
             evaluate(preds, {}, 3)
 
+    def test_prediction_outside_class_range(self):
+        preds = [VideoPrediction("v0", np.array([0.1, 0.2, 0.7]), 2)]
+        with pytest.raises(ValueError, match="predicted class 2 of 2"):
+            evaluate(preds, {"v0": 0}, 2)
+
     def test_class_mean_ignores_empty_rows(self):
         preds, labels = self.make_preds([(0, 0), (1, 1)])
         report = evaluate(preds, labels, 3)

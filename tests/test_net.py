@@ -306,6 +306,29 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="trailing"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("key", ["num_classes", "input_shape", "layers", "params"])
+    def test_missing_header_key_rejected(self, tmp_path, key):
+        import json
+        import struct
+
+        net = TinyNet(small_config(), make_rng(35))
+        path = tmp_path / "model.mosn"
+        save_checkpoint(net, path)
+        data = path.read_bytes()
+        (blob_len,) = struct.unpack_from("<I", data, 5)
+        header = json.loads(data[9 : 9 + blob_len])
+        del header[key]
+        blob = json.dumps(header).encode()
+        path.write_bytes(data[:5] + struct.pack("<I", len(blob)) + blob + data[9 + blob_len :])
+        with pytest.raises(ValueError, match=key):
+            load_checkpoint(path)
+
+    def test_short_file_rejected(self, tmp_path):
+        path = tmp_path / "short.mosn"
+        path.write_bytes(b"MOSN\x01")
+        with pytest.raises(ValueError, match="truncated"):
+            load_checkpoint(path)
+
     def test_desk_default_shapes(self):
         net = TinyNet(desk_net_config(), make_rng(34))
         probs = net.forward(np.zeros((20, 56, 56)))

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from mostream.raster import (
     FlowField,
     RescaleBounds,
+    bilinear_map,
     bilinear_sample,
     make_rng,
     pixel_at,
@@ -77,6 +78,24 @@ class TestResize:
         out = resize_bilinear(img, 9, 9)
         assert out[0, 0] == pytest.approx(img[0, 0])
         assert out[-1, -1] == pytest.approx(img[-1, -1])
+
+    @pytest.mark.parametrize("in_shape", [(5, 7), (16, 16), (64, 64), (1, 9)])
+    @pytest.mark.parametrize("out_shape", [(5, 7), (32, 17), (9, 9), (1, 1)])
+    def test_matches_bilinear_map_on_output_grid(self, in_shape, out_shape):
+        img = make_rng(4).random(in_shape)
+        gx, gy = np.meshgrid(
+            np.linspace(0.0, in_shape[1] - 1.0, out_shape[1]),
+            np.linspace(0.0, in_shape[0] - 1.0, out_shape[0]),
+        )
+        assert np.array_equal(resize_bilinear(img, *out_shape), bilinear_map(img, gx, gy))
+
+    @pytest.mark.parametrize("flip", [False, True])
+    def test_leading_axes_resize_per_channel(self, flip):
+        vol = make_rng(5).random((20, 21, 28))
+        if flip:
+            vol = vol[:, :, ::-1]
+        per_channel = np.stack([resize_bilinear(ch, 32, 32) for ch in vol])
+        assert np.array_equal(resize_bilinear(vol, 32, 32), per_channel)
 
 
 class TestRng:
