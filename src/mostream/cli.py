@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-import time
 from pathlib import Path
 
 import numpy as np
@@ -31,17 +30,6 @@ from .tvl1 import Tvl1Params, video_flows
 from .volume import DEFAULT_STACK_LENGTH, StackSpec, stack_volume
 
 
-def _add_tvl1_flags(p):
-    p.add_argument("--flow-lambda", type=float, default=Tvl1Params.lam, help="data attachment weight")
-    p.add_argument("--tv-theta", type=float, default=Tvl1Params.tv_theta)
-    p.add_argument("--tau", type=float, default=Tvl1Params.tau)
-    p.add_argument("--pyramid-scale", type=float, default=Tvl1Params.pyramid_scale)
-    p.add_argument("--levels", type=int, default=Tvl1Params.levels)
-    p.add_argument("--warps", type=int, default=Tvl1Params.warps_per_level)
-    p.add_argument("--inner-iterations", type=int, default=Tvl1Params.inner_iterations)
-    p.add_argument("--stop-epsilon", type=float, default=Tvl1Params.stop_epsilon)
-
-
 def _tvl1_params(args):
     return Tvl1Params(
         lam=args.flow_lambda,
@@ -53,14 +41,6 @@ def _tvl1_params(args):
         inner_iterations=args.inner_iterations,
         stop_epsilon=args.stop_epsilon,
     )
-
-
-def _add_mos_flags(p):
-    p.add_argument("--mag-low", type=float, default=MAG_BOUNDS.low)
-    p.add_argument("--mag-high", type=float, default=MAG_BOUNDS.high)
-    p.add_argument("--ori-low", type=float, default=ORI_BOUNDS.low)
-    p.add_argument("--ori-high", type=float, default=ORI_BOUNDS.high)
-    p.add_argument("--mag-threshold", type=int, default=DEFAULT_MAG_THRESHOLD)
 
 
 def _mos_params(args):
@@ -114,23 +94,11 @@ def cmd_mos(args):
     return 0
 
 
-def _read_pair_sequence(clip_dir):
-    clip_dir = Path(clip_dir)
-    for first, second in (("mag", "ori"), ("x", "y")):
-        firsts = sorted(clip_dir.glob(f"{first}_*.pgm"))
-        seconds = sorted(clip_dir.glob(f"{second}_*.pgm"))
-        if firsts:
-            if len(firsts) != len(seconds):
-                raise ValueError(f"{clip_dir}: {len(firsts)} {first} images but {len(seconds)} {second}")
-            return [(formats.read_pgm(a), formats.read_pgm(b)) for a, b in zip(firsts, seconds)]
-    raise ValueError(f"no mag_/ori_ or x_/y_ PGM pairs in {clip_dir}")
-
-
 def cmd_volume(args):
     spec = StackSpec(args.stack_length)
     out_root = Path(args.output)
     for rel, clip_dir in _clip_dirs(args):
-        pairs = _read_pair_sequence(clip_dir)
+        pairs = pipeline.read_pair_sequence(clip_dir)
         if len(pairs) < spec.stack_length:
             raise ValueError(
                 f"{clip_dir}: need {spec.stack_length} pairs for one stack, have {len(pairs)}"
@@ -163,19 +131,6 @@ def cmd_synth(args):
     return 0
 
 
-def _load_manifest_dataset(args, entries):
-    start = time.perf_counter()
-
-    def progress(done, total):
-        if args.verbose and (done % 50 == 0 or done == total):
-            rate = done / (time.perf_counter() - start)
-            print(f"  pairs for {done}/{total} clips ({rate:.1f} clips/s)", flush=True)
-
-    return pipeline.load_dataset(
-        entries, Path(args.manifest).parent, _tvl1_params(args), _mos_params(args), args.mode, progress
-    )
-
-
 def _net_config(args, num_classes):
     return net.desk_net_config(
         input_shape=(2 * args.stack_length, args.input_side, args.input_side),
@@ -198,13 +153,20 @@ def _train_config(args):
     )
 
 
+def _check_stack_fits(clips, length):
+    for clip in clips:
+        if len(clip.pairs) < length:
+            raise ValueError(f"clip {clip.video_id}: {len(clip.pairs)} pairs cannot hold a stack of {length}")
+
+
 def cmd_train(args):
     entries = formats.read_manifest(args.manifest)
-    classes = formats.manifest_classes(entries)
-    model = net.TinyNet(_net_config(args, len(classes)), make_rng(args.seed))
+    config = _net_config(args, len(formats.manifest_classes(entries)))
     cfg = _train_config(args)
     train_pipe = pipeline.TrainPipeline(stack=StackSpec(args.stack_length), out_side=args.input_side)
-    dataset = _load_manifest_dataset(args, entries)
+    dataset = pipeline.load_pair_dataset(entries, args.pairs)
+    _check_stack_fits([c for group in dataset.train_by_class for c in group], args.stack_length)
+    model = net.TinyNet(config, make_rng(args.seed))
 
     def progress(it, lr, loss):
         if args.verbose and (it % 50 == 0 or it == cfg.max_iter - 1):
@@ -219,7 +181,7 @@ def cmd_train(args):
 
 
 def cmd_predict(args):
-    # Stack length and input side come from the checkpoint; check it before any flow work.
+    # Stack length and input side come from the checkpoint; check it before reading any pairs.
     model, _ = net.load_checkpoint(args.checkpoint)
     channels, side, width = model.config.input_shape
     if channels % 2 or side != width:
@@ -231,16 +193,10 @@ def cmd_predict(args):
     entries = [e for e in entries if e.split == args.split]
     if not entries:
         raise ValueError(f"manifest has no {args.split!r} entries")
-    params = PredictParams(
-        tvl1=_tvl1_params(args),
-        mos=_mos_params(args),
-        stack=StackSpec(channels // 2),
-        k_samples=args.samples,
-        out_side=side,
-        mode=args.mode,
-    )
-    dataset = _load_manifest_dataset(args, entries)
+    params = PredictParams(stack=StackSpec(channels // 2), k_samples=args.samples, out_side=side)
+    dataset = pipeline.load_pair_dataset(entries, args.pairs)
     clips = dataset.test_clips + [c for group in dataset.train_by_class for c in group]
+    _check_stack_fits(clips, params.stack.stack_length)
     ids = []
     rows = []
     for clip in clips:
@@ -328,7 +284,14 @@ def build_parser():
     p.add_argument("input")
     p.add_argument("output")
     p.add_argument("--manifest", help="process every clip listed in this manifest")
-    _add_tvl1_flags(p)
+    p.add_argument("--flow-lambda", type=float, default=Tvl1Params.lam, help="data attachment weight")
+    p.add_argument("--tv-theta", type=float, default=Tvl1Params.tv_theta)
+    p.add_argument("--tau", type=float, default=Tvl1Params.tau)
+    p.add_argument("--pyramid-scale", type=float, default=Tvl1Params.pyramid_scale)
+    p.add_argument("--levels", type=int, default=Tvl1Params.levels)
+    p.add_argument("--warps", type=int, default=Tvl1Params.warps_per_level)
+    p.add_argument("--inner-iterations", type=int, default=Tvl1Params.inner_iterations)
+    p.add_argument("--stop-epsilon", type=float, default=Tvl1Params.stop_epsilon)
     p.set_defaults(func=cmd_flow)
 
     p = sub.add_parser("mos", help=".flo files -> byte-image PGM pairs")
@@ -336,7 +299,11 @@ def build_parser():
     p.add_argument("output")
     p.add_argument("--manifest")
     p.add_argument("--mode", choices=("mos", "xy"), default=PredictParams.mode)
-    _add_mos_flags(p)
+    p.add_argument("--mag-low", type=float, default=MAG_BOUNDS.low)
+    p.add_argument("--mag-high", type=float, default=MAG_BOUNDS.high)
+    p.add_argument("--ori-low", type=float, default=ORI_BOUNDS.low)
+    p.add_argument("--ori-high", type=float, default=ORI_BOUNDS.high)
+    p.add_argument("--mag-threshold", type=int, default=DEFAULT_MAG_THRESHOLD)
     p.set_defaults(func=cmd_mos)
 
     p = sub.add_parser("volume", help="PGM pairs -> stacked tensor files")
@@ -359,8 +326,9 @@ def build_parser():
     p.add_argument("--stack-length", type=int, default=synth.SyntheticSpec.stack_length)
     p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("train", help="manifest -> checkpoint + loss CSV")
+    p = sub.add_parser("train", help="manifest + byte-pair tree -> checkpoint + loss CSV")
     p.add_argument("--manifest", required=True)
+    p.add_argument("--pairs", required=True, help="tree written by `mos --manifest`")
     p.add_argument("--output", required=True, help="checkpoint path")
     p.add_argument("--loss-csv")
     p.add_argument("--seed", type=int, default=net.TrainConfig.seed)
@@ -375,23 +343,17 @@ def build_parser():
     p.add_argument("--fc-width", type=int, default=net.DEFAULT_FC_WIDTH)
     p.add_argument("--stack-length", type=int, default=DEFAULT_STACK_LENGTH)
     p.add_argument("--input-side", type=int, default=net.DEFAULT_INPUT_SIDE)
-    p.add_argument("--mode", choices=("mos", "xy"), default=PredictParams.mode)
     p.add_argument("--verbose", action="store_true")
-    _add_tvl1_flags(p)
-    _add_mos_flags(p)
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("predict", help="checkpoint + manifest -> scores CSV")
+    p = sub.add_parser("predict", help="checkpoint + manifest + byte-pair tree -> scores CSV")
     p.add_argument("--manifest", required=True)
+    p.add_argument("--pairs", required=True, help="tree written by `mos --manifest`")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--output", required=True)
-    p.add_argument("--seed", type=int, default=net.TrainConfig.seed, help="unused: prediction is deterministic")
     p.add_argument("--samples", type=int, default=DEFAULT_TEST_SAMPLES)
     p.add_argument("--split", choices=("train", "test"), default="test")
-    p.add_argument("--mode", choices=("mos", "xy"), default=PredictParams.mode)
     p.add_argument("--verbose", action="store_true")
-    _add_tvl1_flags(p)
-    _add_mos_flags(p)
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("fuse", help="combine score CSVs by weighted sum")

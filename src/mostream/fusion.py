@@ -129,7 +129,10 @@ def fuse(stream_scores: Sequence, weights: Sequence[float]) -> np.ndarray:
         if vec.shape != k:
             raise ValueError(f"stream {i} has {vec.shape} classes, expected {k}")
     combined = sum(wt * vec for wt, vec in zip(weights, vectors))
-    return combined / combined.sum()
+    total = combined.sum()
+    if not total > 0:
+        raise ValueError(f"weighted scores sum to {total}: no positive mass to renormalize")
+    return combined / total
 
 
 def evaluate(predictions: Sequence[VideoPrediction], labels: dict, num_classes: int) -> EvalReport:

@@ -12,7 +12,7 @@ import numpy as np
 from .augment import apply_crop, random_multiscale_crop
 from .formats import ManifestEntry, read_pgm, read_ppm
 from .fusion import pairs_from_frames
-from .mos import MosParams
+from .mos import MosPair, MosParams, XyPair
 from .net import DEFAULT_INPUT_SIDE
 from .raster import Rng, to_gray
 from .tvl1 import Tvl1Params
@@ -54,18 +54,30 @@ def read_clip_frames(clip_dir) -> list[np.ndarray]:
     return frames
 
 
-def load_dataset(
-    entries: list[ManifestEntry],
-    root,
-    tvl1_params: Tvl1Params = Tvl1Params(),
-    mos_params: MosParams = MosParams(),
-    mode: str = "mos",
-    progress: Callable | None = None,
-) -> ClipDataset:
-    """Compute and cache byte pairs for every manifest entry.
+def read_pair_sequence(clip_dir) -> list:
+    """Byte-image pairs from a directory `mostream mos` wrote, in index order.
 
-    Missing clip directories are reported before any flow work starts.
+    The stream kind comes from the file names: `mag_NNNN.pgm`/`ori_NNNN.pgm`
+    or `x_NNNN.pgm`/`y_NNNN.pgm`. Files pair by their index NNNN, and both
+    halves must cover the same indices.
     """
+    clip_dir = Path(clip_dir)
+    for first, second, pair in (("mag", "ori", MosPair), ("x", "y", XyPair)):
+        firsts = {p.stem[len(first) + 1 :]: p for p in clip_dir.glob(f"{first}_*.pgm")}
+        if not firsts:
+            continue
+        seconds = {p.stem[len(second) + 1 :]: p for p in clip_dir.glob(f"{second}_*.pgm")}
+        unmatched = sorted(firsts.keys() ^ seconds.keys())
+        if unmatched:
+            raise ValueError(f"{clip_dir}: {first}_/{second}_ images without a partner at indices {unmatched}")
+        return [pair(read_pgm(firsts[i]), read_pgm(seconds[i])) for i in sorted(firsts)]
+    raise ValueError(f"no mag_/ori_ or x_/y_ PGM pairs in {clip_dir}")
+
+
+def _group_clips(entries: list[ManifestEntry], root, pairs_of: Callable, progress=None) -> ClipDataset:
+    """Group manifest entries into a ClipDataset; `pairs_of(root / path)`
+    gives a clip's byte pairs. Missing clip directories are reported
+    before any file is read."""
     root = Path(root)
     classes = [None] * (max(e.class_index for e in entries) + 1)
     for e in entries:
@@ -75,9 +87,7 @@ def load_dataset(
     train_by_class = [[] for _ in classes]
     test_clips = []
     for i, e in enumerate(entries):
-        frames = read_clip_frames(root / e.path)
-        pairs = pairs_from_frames(frames, tvl1_params, mos_params, mode)
-        clip = Clip(e.path, e.class_index, pairs)
+        clip = Clip(e.path, e.class_index, pairs_of(root / e.path))
         if e.split == "train":
             train_by_class[e.class_index].append(clip)
         else:
@@ -85,6 +95,30 @@ def load_dataset(
         if progress is not None:
             progress(i + 1, len(entries))
     return ClipDataset(classes, train_by_class, test_clips)
+
+
+def load_dataset(
+    entries: list[ManifestEntry],
+    root,
+    tvl1_params: Tvl1Params = Tvl1Params(),
+    mos_params: MosParams = MosParams(),
+    progress: Callable | None = None,
+) -> ClipDataset:
+    """Compute the MOS byte pairs of every manifest clip from its frames.
+
+    Missing clip directories are reported before any flow work starts.
+    """
+
+    def pairs_of(clip_dir):
+        return pairs_from_frames(read_clip_frames(clip_dir), tvl1_params, mos_params)
+
+    return _group_clips(entries, root, pairs_of, progress)
+
+
+def load_pair_dataset(entries: list[ManifestEntry], pair_root) -> ClipDataset:
+    """Read every manifest clip's byte pairs from `pair_root / <path>`,
+    the tree `mostream mos --manifest` writes; no flow is computed."""
+    return _group_clips(entries, pair_root, read_pair_sequence)
 
 
 @dataclass(frozen=True)

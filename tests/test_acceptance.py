@@ -317,11 +317,13 @@ def _run_chain(base, seed):
         ["mos", str(base / "flows"), str(base / "mos"), "--manifest", str(data / "manifest.tsv")],
         ["volume", str(base / "mos"), str(base / "volumes"), "--manifest", str(data / "manifest.tsv"),
          "--stack-length", "10"],
-        ["train", "--manifest", str(data / "manifest.tsv"), "--output", str(base / "model.mosn"),
+        ["train", "--manifest", str(data / "manifest.tsv"), "--pairs", str(base / "mos"),
+         "--output", str(base / "model.mosn"),
          "--loss-csv", str(base / "loss.csv"), "--iterations", "6", "--batch-size", "4",
          "--input-side", "24", "--seed", str(seed)],
-        ["predict", "--manifest", str(data / "manifest.tsv"), "--checkpoint", str(base / "model.mosn"),
-         "--output", str(base / "scores.csv"), "--samples", "3", "--seed", str(seed)],
+        ["predict", "--manifest", str(data / "manifest.tsv"), "--pairs", str(base / "mos"),
+         "--checkpoint", str(base / "model.mosn"),
+         "--output", str(base / "scores.csv"), "--samples", "3"],
         ["eval", "--scores", str(base / "scores.csv"), "--manifest", str(data / "manifest.tsv"),
          "--confusion-csv", str(base / "confusion.csv"), "--confusion-pgm", str(base / "confusion.pgm")],
     ]
@@ -337,7 +339,6 @@ def _tree_bytes(base):
     }
 
 
-@pytest.mark.slow
 def test_criterion_10_chained_pipeline_determinism(tmp_path, capsys):
     _run_chain(tmp_path / "run_a", seed=11)
     _run_chain(tmp_path / "run_b", seed=11)

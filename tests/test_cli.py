@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mostream import cli
+from mostream import cli, fusion, mos, pipeline, tvl1
 from mostream.cli import main
 from mostream.formats import (
     read_flo,
@@ -38,6 +38,17 @@ def tiny_dataset(tmp_path_factory):
     return root
 
 
+@pytest.fixture(scope="module")
+def tiny_pairs(tiny_dataset, tmp_path_factory):
+    """The `mos` byte-pair tree of `tiny_dataset`, built through the CLI."""
+    manifest = str(tiny_dataset / "manifest.tsv")
+    flows = tmp_path_factory.mktemp("flows")
+    pairs = tmp_path_factory.mktemp("mos")
+    assert main(["flow", str(tiny_dataset), str(flows), "--manifest", manifest]) == 0
+    assert main(["mos", str(flows), str(pairs), "--manifest", manifest]) == 0
+    return pairs
+
+
 class TestSynthCommand:
     def test_manifest_written(self, tiny_dataset):
         entries = read_manifest(tiny_dataset / "manifest.tsv")
@@ -58,14 +69,14 @@ class TestDefaults:
         from mostream.cli import build_parser
 
         args = build_parser().parse_args(
-            ["predict", "--manifest", "m", "--checkpoint", "c", "--output", "o"]
+            ["predict", "--manifest", "m", "--pairs", "p", "--checkpoint", "c", "--output", "o"]
         )
         assert args.samples == 25
 
     def test_train_defaults_follow_reference_schedule(self):
         from mostream.cli import build_parser
 
-        args = build_parser().parse_args(["train", "--manifest", "m", "--output", "o"])
+        args = build_parser().parse_args(["train", "--manifest", "m", "--pairs", "p", "--output", "o"])
         assert args.base_lr == 0.005
         assert args.lr_step == 5000
         assert args.lr_factor == 0.1
@@ -88,9 +99,7 @@ def _built_from_defaults(args):
         built["train"] = cli._train_config(args)
         built["net"] = cli._net_config(args, 8)
     if args.command == "predict":
-        built["predict"] = PredictParams(
-            tvl1=built["tvl1"], mos=built["mos"], k_samples=args.samples, mode=args.mode
-        )
+        built["predict"] = PredictParams(k_samples=args.samples)
     return built
 
 
@@ -102,23 +111,38 @@ def _built_from_defaults(args):
         (["volume", "i", "o"], {"stack": StackSpec()}),
         (["synth", "o"], {"synth": SyntheticSpec()}),
         (
-            ["train", "--manifest", "m", "--output", "o"],
-            {
-                "tvl1": Tvl1Params(),
-                "mos": MosParams(),
-                "train": TrainConfig(seed=0),
-                "net": desk_net_config(),
-            },
+            ["train", "--manifest", "m", "--pairs", "p", "--output", "o"],
+            {"train": TrainConfig(seed=0), "net": desk_net_config()},
         ),
         (
-            ["predict", "--manifest", "m", "--checkpoint", "c", "--output", "o"],
-            {"tvl1": Tvl1Params(), "mos": MosParams(), "predict": PredictParams()},
+            ["predict", "--manifest", "m", "--pairs", "p", "--checkpoint", "c", "--output", "o"],
+            {"predict": PredictParams()},
         ),
     ],
     ids=lambda v: v[0] if isinstance(v, list) else None,
 )
 def test_flag_defaults_equal_library_defaults(argv, expected):
     assert _built_from_defaults(cli.build_parser().parse_args(argv)) == expected
+
+
+FLOW_FLAGS = ["--mode", "--flow-lambda", "--tv-theta", "--tau", "--pyramid-scale", "--levels", "--warps",
+              "--inner-iterations", "--stop-epsilon", "--mag-low", "--mag-high", "--ori-low", "--ori-high",
+              "--mag-threshold"]
+
+
+@pytest.mark.parametrize(
+    "argv, removed",
+    [
+        (["train", "--manifest", "m", "--pairs", "p", "--output", "o"], FLOW_FLAGS),
+        (["predict", "--manifest", "m", "--pairs", "p", "--checkpoint", "c", "--output", "o"],
+         FLOW_FLAGS + ["--seed"]),
+    ],
+    ids=["train", "predict"],
+)
+def test_train_and_predict_take_no_flow_flags(argv, removed, capsys):
+    for flag in removed:
+        assert main(argv + [flag, "mos" if flag == "--mode" else "1"]) == 2, flag
+    capsys.readouterr()
 
 
 class TestFlowMosVolumeChain:
@@ -159,7 +183,7 @@ class TestFlowMosVolumeChain:
 
 
 class TestTrainPredictEval:
-    def test_full_loop(self, tiny_dataset, tmp_path):
+    def test_full_loop(self, tiny_dataset, tiny_pairs, tmp_path):
         manifest = tiny_dataset / "manifest.tsv"
         ckpt = tmp_path / "model.mosn"
         loss_csv = tmp_path / "loss.csv"
@@ -167,6 +191,7 @@ class TestTrainPredictEval:
             [
                 "train",
                 "--manifest", str(manifest),
+                "--pairs", str(tiny_pairs),
                 "--output", str(ckpt),
                 "--loss-csv", str(loss_csv),
                 "--iterations", "8",
@@ -185,10 +210,10 @@ class TestTrainPredictEval:
             [
                 "predict",
                 "--manifest", str(manifest),
+                "--pairs", str(tiny_pairs),
                 "--checkpoint", str(ckpt),
                 "--output", str(scores_csv),
                 "--samples", "3",
-                "--seed", "1",
             ]
         )
         assert code == 0
@@ -226,6 +251,55 @@ class TestTrainPredictEval:
         assert np.allclose(fused, scores, atol=1e-8)
 
 
+def test_train_and_predict_run_no_flow_code(tiny_dataset, tmp_path, monkeypatch):
+    """flow -> mos -> train -> predict: only `flow` runs TV-L1, only `mos` codes bytes."""
+    calls = set()
+    stage = None
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.add((stage, name))
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for owner, name in [(tvl1, "video_flows"), (fusion, "video_flows"), (cli, "video_flows"),
+                        (mos, "mos_images"), (fusion, "mos_images"), (cli, "mos_images"),
+                        (mos, "xy_images"), (fusion, "xy_images"), (cli, "xy_images")]:
+        monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
+    manifest = str(tiny_dataset / "manifest.tsv")
+    steps = [
+        ["flow", str(tiny_dataset), str(tmp_path / "flows"), "--manifest", manifest],
+        ["mos", str(tmp_path / "flows"), str(tmp_path / "mos"), "--manifest", manifest],
+        ["train", "--manifest", manifest, "--pairs", str(tmp_path / "mos"),
+         "--output", str(tmp_path / "model.mosn"), "--iterations", "2", "--batch-size", "2",
+         "--input-side", "16"],
+        ["predict", "--manifest", manifest, "--pairs", str(tmp_path / "mos"),
+         "--checkpoint", str(tmp_path / "model.mosn"), "--output", str(tmp_path / "scores.csv"),
+         "--samples", "2"],
+    ]
+    for argv in steps:
+        stage = argv[0]
+        assert main(argv) == 0, argv
+    assert calls == {("flow", "video_flows"), ("mos", "mos_images")}
+
+
+def test_tree_pairs_equal_in_memory_pairs(tiny_dataset, tiny_pairs):
+    """Pairs read back from the `mos` tree are the bytes `load_dataset` computes."""
+    entries = read_manifest(tiny_dataset / "manifest.tsv")
+    from_tree = pipeline.load_pair_dataset(entries, tiny_pairs)
+    from_frames = pipeline.load_dataset(entries, tiny_dataset)
+    assert from_tree.classes == from_frames.classes
+    tree_clips = from_tree.test_clips + sum(from_tree.train_by_class, [])
+    frame_clips = from_frames.test_clips + sum(from_frames.train_by_class, [])
+    assert [c.video_id for c in tree_clips] == [c.video_id for c in frame_clips]
+    for a, b in zip(tree_clips, frame_clips):
+        assert len(a.pairs) == len(b.pairs) == 11
+        for pa, pb in zip(a.pairs, b.pairs):
+            assert np.array_equal(pa.magnitude, pb.magnitude)
+            assert np.array_equal(pa.orientation, pb.orientation)
+
+
 class TestViz:
     def test_flow_to_ppm(self, tiny_dataset, tmp_path):
         clip = tiny_dataset / "right_s2" / "clip_001"
@@ -257,6 +331,15 @@ class TestExitCodes:
         scores.write_text("video_id,class_0,class_1\nv,0.5,0.5\n")
         assert main(["fuse", str(scores), "--weights", "1,2", "--output", str(tmp_path / "o.csv")]) == 1
         capsys.readouterr()
+
+    def test_fuse_all_zero_row(self, tmp_path, capsys, recwarn):
+        scores = tmp_path / "s.csv"
+        scores.write_text("video_id,class_0,class_1\nv,0,0\nw,0.2,0.8\n")
+        out = tmp_path / "o.csv"
+        assert main(["fuse", str(scores), str(scores), "--output", str(out)]) == 1
+        assert_one_line_error(capsys)
+        assert not out.exists()
+        assert not [str(w.message) for w in recwarn]
 
     def test_volume_on_short_clip_errors(self, tmp_path, capsys):
         from mostream.formats import write_pgm
@@ -300,11 +383,11 @@ class TestHostileInputs:
         assert_one_line_error(capsys)
 
     @staticmethod
-    def _forbid_flow_work(monkeypatch):
-        def no_flow_work(*args, **kwargs):
-            raise AssertionError("flow work started before the settings were checked")
+    def _forbid_reading_pairs(monkeypatch):
+        def no_pair_reading(*args, **kwargs):
+            raise AssertionError("pairs read before the settings were checked")
 
-        monkeypatch.setattr(cli.pipeline, "load_dataset", no_flow_work)
+        monkeypatch.setattr(cli.pipeline, "load_pair_dataset", no_pair_reading)
 
     @staticmethod
     def _checkpoint(tmp_path, input_shape=(20, 24, 24), num_classes=2):
@@ -313,9 +396,9 @@ class TestHostileInputs:
         save_checkpoint(TinyNet(config, make_rng(0)), path)
         return path
 
-    def _predict(self, tiny_dataset, ckpt, tmp_path, monkeypatch, *extra):
-        self._forbid_flow_work(monkeypatch)
-        argv = ["predict", "--manifest", str(tiny_dataset / "manifest.tsv"),
+    @staticmethod
+    def _predict(tiny_dataset, tiny_pairs, ckpt, tmp_path, *extra):
+        argv = ["predict", "--manifest", str(tiny_dataset / "manifest.tsv"), "--pairs", str(tiny_pairs),
                 "--checkpoint", str(ckpt), "--output", str(tmp_path / "scores.csv"), *extra]
         return main(argv)
 
@@ -324,27 +407,64 @@ class TestHostileInputs:
         [((20, 24, 24), 3), ((21, 24, 24), 2), ((20, 24, 16), 2)],
         ids=["class_count", "odd_channels", "non_square"],
     )
-    def test_predict_checkpoint_mismatch(self, tiny_dataset, tmp_path, monkeypatch, capsys,
+    def test_predict_checkpoint_mismatch(self, tiny_dataset, tiny_pairs, tmp_path, monkeypatch, capsys,
                                          input_shape, num_classes):
         ckpt = self._checkpoint(tmp_path, input_shape, num_classes)
-        assert self._predict(tiny_dataset, ckpt, tmp_path, monkeypatch) == 1
+        self._forbid_reading_pairs(monkeypatch)
+        assert self._predict(tiny_dataset, tiny_pairs, ckpt, tmp_path) == 1
         assert_one_line_error(capsys)
 
-    def test_predict_checkpoint_missing_header_key(self, tiny_dataset, tmp_path, monkeypatch, capsys):
+    def test_predict_checkpoint_missing_header_key(self, tiny_dataset, tiny_pairs, tmp_path, monkeypatch,
+                                                   capsys):
         ckpt = self._checkpoint(tmp_path)
         data = ckpt.read_bytes()
         ckpt.write_bytes(data.replace(b'"num_classes": 2', b'"num_klasses": 2'))
-        assert self._predict(tiny_dataset, ckpt, tmp_path, monkeypatch) == 1
+        self._forbid_reading_pairs(monkeypatch)
+        assert self._predict(tiny_dataset, tiny_pairs, ckpt, tmp_path) == 1
         assert_one_line_error(capsys)
 
-    def test_predict_bad_samples_before_flow_work(self, tiny_dataset, tmp_path, monkeypatch, capsys):
+    def test_predict_bad_samples_before_flow_work(self, tiny_dataset, tiny_pairs, tmp_path, monkeypatch,
+                                                  capsys):
         ckpt = self._checkpoint(tmp_path)
-        assert self._predict(tiny_dataset, ckpt, tmp_path, monkeypatch, "--samples", "0") == 1
+        self._forbid_reading_pairs(monkeypatch)
+        assert self._predict(tiny_dataset, tiny_pairs, ckpt, tmp_path, "--samples", "0") == 1
         assert_one_line_error(capsys)
 
-    def test_train_bad_dropout_before_flow_work(self, tiny_dataset, tmp_path, monkeypatch, capsys):
-        self._forbid_flow_work(monkeypatch)
-        argv = ["train", "--manifest", str(tiny_dataset / "manifest.tsv"),
-                "--output", str(tmp_path / "model.mosn"), "--dropout", "1.5"]
-        assert main(argv) == 1
+    def test_predict_stack_longer_than_clip(self, tiny_dataset, tiny_pairs, tmp_path, monkeypatch, capsys):
+        # 12 frames per clip give 11 pairs; this checkpoint stacks 12.
+        ckpt = self._checkpoint(tmp_path, input_shape=(24, 24, 24))
+
+        def no_prediction(*args, **kwargs):
+            raise AssertionError("a clip was predicted before the stack length was checked")
+
+        monkeypatch.setattr(cli, "predict_from_pairs", no_prediction)
+        assert self._predict(tiny_dataset, tiny_pairs, ckpt, tmp_path) == 1
+        self._assert_short_clip_error(capsys, tiny_dataset, "test")
+
+    @staticmethod
+    def _assert_short_clip_error(capsys, tiny_dataset, split):
+        err = capsys.readouterr().err
+        clips = [e.path for e in read_manifest(tiny_dataset / "manifest.tsv") if e.split == split]
+        assert err.count("\n") == 1 and any(err.startswith(f"error: clip {c}: ") for c in clips), err
+        assert "11 pairs cannot hold a stack of 12" in err
+
+    @staticmethod
+    def _train(tiny_dataset, tiny_pairs, tmp_path, *extra):
+        argv = ["train", "--manifest", str(tiny_dataset / "manifest.tsv"), "--pairs", str(tiny_pairs),
+                "--output", str(tmp_path / "model.mosn"), *extra]
+        return main(argv)
+
+    def test_train_bad_dropout_before_flow_work(self, tiny_dataset, tiny_pairs, tmp_path, monkeypatch,
+                                                capsys):
+        self._forbid_reading_pairs(monkeypatch)
+        assert self._train(tiny_dataset, tiny_pairs, tmp_path, "--dropout", "1.5") == 1
         assert_one_line_error(capsys)
+
+    def test_train_stack_longer_than_clip(self, tiny_dataset, tiny_pairs, tmp_path, monkeypatch, capsys):
+        def no_network(*args, **kwargs):
+            raise AssertionError("the network was built before the stack length was checked")
+
+        monkeypatch.setattr(cli.net, "TinyNet", no_network)
+        assert self._train(tiny_dataset, tiny_pairs, tmp_path, "--stack-length", "12") == 1
+        self._assert_short_clip_error(capsys, tiny_dataset, "train")
+        assert not (tmp_path / "model.mosn").exists()

@@ -64,6 +64,15 @@ class TestFuse:
         with pytest.raises(ValueError):
             fuse([[0.5, 0.5], [0.5, 0.5]], [0.0, 0.0])
 
+    @pytest.mark.parametrize(
+        "scores, weights",
+        [([[0.0, 0.0], [0.0, 0.0]], [1.0, 1.0]), ([[0.0, 0.0], [0.5, 0.5]], [1.0, 0.0])],
+        ids=["all_zero_rows", "mass_only_under_zero_weight"],
+    )
+    def test_no_positive_mass_rejected(self, scores, weights):
+        with pytest.raises(ValueError, match="no positive mass"):
+            fuse(scores, weights)
+
     def test_argmax_tie_breaks_low(self):
         assert argmax_class([0.4, 0.4, 0.2]) == 0
 

@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
 
-from mostream.formats import ManifestEntry, write_pgm
-from mostream.mos import MosPair
+from mostream.formats import ManifestEntry, read_pgm, write_pgm
+from mostream.mos import MosPair, XyPair
 from mostream.pipeline import (
     Clip,
     TrainPipeline,
     load_dataset,
+    load_pair_dataset,
     read_clip_frames,
+    read_pair_sequence,
     zero_magnitude_channels,
 )
 from mostream.raster import make_rng
@@ -29,6 +31,39 @@ class TestReadClipFrames:
             read_clip_frames(tmp_path)
 
 
+def write_pairs(clip_dir, first, second, first_indices, second_indices, seed=0):
+    rng = make_rng(seed)
+    clip_dir.mkdir(parents=True, exist_ok=True)
+    for name, indices in ((first, first_indices), (second, second_indices)):
+        for t in indices:
+            write_pgm(clip_dir / f"{name}_{t:04d}.pgm", rng.integers(0, 256, (4, 4), dtype=np.uint8))
+
+
+class TestReadPairSequence:
+    def test_mos_pairs_in_index_order(self, tmp_path):
+        write_pairs(tmp_path, "mag", "ori", (2, 0, 1), (1, 2, 0))
+        pairs = read_pair_sequence(tmp_path)
+        assert len(pairs) == 3 and all(isinstance(p, MosPair) for p in pairs)
+        for t, pair in enumerate(pairs):
+            assert np.array_equal(pair.magnitude, read_pgm(tmp_path / f"mag_{t:04d}.pgm"))
+            assert np.array_equal(pair.orientation, read_pgm(tmp_path / f"ori_{t:04d}.pgm"))
+
+    def test_xy_kind_read_from_names(self, tmp_path):
+        write_pairs(tmp_path, "x", "y", (0, 1), (0, 1))
+        pairs = read_pair_sequence(tmp_path)
+        assert len(pairs) == 2 and all(isinstance(p, XyPair) for p in pairs)
+
+    def test_pairs_by_index_not_position(self, tmp_path):
+        # Equal counts, but mag_0001 has no partner and ori_0002 none either.
+        write_pairs(tmp_path / "clip", "mag", "ori", (0, 1), (0, 2))
+        with pytest.raises(ValueError, match=r"clip: .*indices \['0001', '0002'\]"):
+            read_pair_sequence(tmp_path / "clip")
+
+    def test_no_pairs_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="no mag_/ori_ or x_/y_ PGM pairs"):
+            read_pair_sequence(tmp_path)
+
+
 class TestLoadDataset:
     def test_splits_and_pair_counts(self, tmp_path):
         spec = SyntheticSpec(
@@ -47,6 +82,27 @@ class TestLoadDataset:
         entries = [ManifestEntry("nowhere/clip_000", "x", 0, "train")]
         with pytest.raises(ValueError, match="clip directory missing"):
             load_dataset(entries, tmp_path)
+
+
+class TestLoadPairDataset:
+    def test_groups_clips_from_pair_tree(self, tmp_path):
+        entries = [
+            ManifestEntry("a/clip_0", "a", 0, "train"),
+            ManifestEntry("b/clip_0", "b", 1, "train"),
+            ManifestEntry("a/clip_1", "a", 0, "test"),
+        ]
+        for i, e in enumerate(entries):
+            write_pairs(tmp_path / e.path, "mag", "ori", range(i + 2), range(i + 2), seed=i)
+        dataset = load_pair_dataset(entries, tmp_path)
+        assert dataset.classes == ["a", "b"]
+        assert [[c.video_id for c in g] for g in dataset.train_by_class] == [["a/clip_0"], ["b/clip_0"]]
+        assert [(c.video_id, len(c.pairs)) for c in dataset.test_clips] == [("a/clip_1", 4)]
+
+    def test_missing_clip_reported_before_reading(self, tmp_path):
+        write_pairs(tmp_path / "a/clip_0", "mag", "ori", (0,), (1,))  # unreadable if reached
+        entries = [ManifestEntry("a/clip_0", "a", 0, "train"), ManifestEntry("nowhere", "a", 0, "test")]
+        with pytest.raises(ValueError, match="clip directory missing"):
+            load_pair_dataset(entries, tmp_path)
 
 
 class TestTrainPipeline:
