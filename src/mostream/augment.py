@@ -19,8 +19,6 @@ import numpy as np
 from .raster import Rng, resize_bilinear, rng_uniform
 from .volume import InputVolume
 
-DEFAULT_OUT_SIDE = 224
-
 # {256, 224, 192, 168} / 256, expressed as fractions of the short side so
 # the same geometry applies at any frame scale.
 DEFAULT_SCALE_FRACTIONS = (1.0, 0.875, 0.75, 0.65625)
@@ -32,8 +30,8 @@ class CropSpec:
     y: int
     crop_w: int
     crop_h: int
-    flip: bool = False
-    out_side: int = DEFAULT_OUT_SIDE
+    flip: bool
+    out_side: int
 
     def __post_init__(self):
         if self.crop_w < 1 or self.crop_h < 1 or self.out_side < 1:
@@ -42,18 +40,7 @@ class CropSpec:
             raise ValueError(f"crop origin must be non-negative, got ({self.x}, {self.y})")
 
 
-@dataclass(frozen=True)
-class ScaleSet:
-    fractions: tuple[float, ...] = DEFAULT_SCALE_FRACTIONS
-
-    def __post_init__(self):
-        if not self.fractions:
-            raise ValueError("scale set must not be empty")
-        if any(not 0.0 < f <= 1.0 for f in self.fractions):
-            raise ValueError(f"scale fractions must lie in (0, 1], got {self.fractions}")
-
-
-def five_crops(w: int, h: int, crop_w: int, crop_h: int, out_side: int = DEFAULT_OUT_SIDE) -> list[CropSpec]:
+def five_crops(w: int, h: int, crop_w: int, crop_h: int, out_side: int) -> list[CropSpec]:
     """Four corner crops plus the centered crop, unflipped."""
     if crop_w > w or crop_h > h:
         raise ValueError(f"crop {crop_w}x{crop_h} larger than source {w}x{h}")
@@ -63,26 +50,18 @@ def five_crops(w: int, h: int, crop_w: int, crop_h: int, out_side: int = DEFAULT
     return [CropSpec(x, y, crop_w, crop_h, False, out_side) for x, y in positions]
 
 
-def ten_crops(w: int, h: int, crop_w: int, crop_h: int, out_side: int = DEFAULT_OUT_SIDE) -> list[CropSpec]:
+def ten_crops(w: int, h: int, crop_w: int, crop_h: int, out_side: int) -> list[CropSpec]:
     """five_crops followed by the same five with horizontal flip."""
     base = five_crops(w, h, crop_w, crop_h, out_side)
     flipped = [CropSpec(c.x, c.y, c.crop_w, c.crop_h, True, out_side) for c in base]
     return base + flipped
 
 
-def random_multiscale_crop(
-    w: int,
-    h: int,
-    scales: ScaleSet = ScaleSet(),
-    rng: Rng = None,
-    out_side: int = DEFAULT_OUT_SIDE,
-) -> CropSpec:
+def random_multiscale_crop(w: int, h: int, rng: Rng, out_side: int) -> CropSpec:
     """Random crop: independent width/height fractions of the short side,
     position among the five canonical crops, flip with probability 1/2."""
-    if rng is None:
-        raise ValueError("random_multiscale_crop requires an rng")
     base = min(w, h)
-    fractions = scales.fractions
+    fractions = DEFAULT_SCALE_FRACTIONS
     crop_w = int(np.floor(fractions[rng_uniform(rng, len(fractions))] * base + 0.5))
     crop_h = int(np.floor(fractions[rng_uniform(rng, len(fractions))] * base + 0.5))
     crop_w = max(1, crop_w)

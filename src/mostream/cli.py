@@ -24,7 +24,7 @@ from .fusion import (
     fuse,
     predict_from_pairs,
 )
-from .mos import DEFAULT_MAG_THRESHOLD, MAG_BOUNDS, ORI_BOUNDS, MosParams, mos_images, xy_images
+from .mos import DEFAULT_MAG_THRESHOLD, DEFAULT_STREAM, MAG_BOUNDS, ORI_BOUNDS, STREAMS, MosParams
 from .raster import RescaleBounds, make_rng
 from .tvl1 import Tvl1Params, video_flows
 from .volume import DEFAULT_STACK_LENGTH, StackSpec, stack_volume
@@ -76,7 +76,7 @@ def cmd_flow(args):
 def cmd_mos(args):
     params = _mos_params(args)
     out_root = Path(args.output)
-    names = ("mag", "ori") if args.mode == "mos" else ("x", "y")
+    stream = STREAMS[args.mode]
     for rel, clip_dir in _clip_dirs(args):
         flo_paths = sorted(Path(clip_dir).glob("*.flo"))
         if not flo_paths:
@@ -84,13 +84,9 @@ def cmd_mos(args):
         dest = out_root / rel
         dest.mkdir(parents=True, exist_ok=True)
         for t, path in enumerate(flo_paths):
-            flow = formats.read_flo(path)
-            if args.mode == "mos":
-                pair = mos_images(flow, params)
-            else:
-                pair = xy_images(flow, params.mag_bounds)
-            formats.write_pgm(dest / f"{names[0]}_{t:04d}.pgm", pair[0])
-            formats.write_pgm(dest / f"{names[1]}_{t:04d}.pgm", pair[1])
+            pair = stream.code(formats.read_flo(path), params)
+            for prefix, image in zip(stream.prefixes, pair):
+                formats.write_pgm(dest / f"{prefix}_{t:04d}.pgm", image)
     return 0
 
 
@@ -173,7 +169,7 @@ def cmd_train(args):
             print(f"  iter {it}: lr {lr:g} loss {loss:.4f}", flush=True)
 
     curve = net.train(model, dataset.train_by_class, train_pipe.make_volume, cfg, progress)
-    net.save_checkpoint(model, args.output, iterations=cfg.max_iter)
+    net.save_checkpoint(model, args.output, iterations=cfg.max_iter, stream=dataset.stream)
     if args.loss_csv:
         formats.write_loss_csv(args.loss_csv, curve)
     print(f"trained {cfg.max_iter} iterations, final loss {curve[-1][2]:.4f}" if curve else "trained 0 iterations")
@@ -182,7 +178,7 @@ def cmd_train(args):
 
 def cmd_predict(args):
     # Stack length and input side come from the checkpoint; check it before reading any pairs.
-    model, _ = net.load_checkpoint(args.checkpoint)
+    model, header = net.load_checkpoint(args.checkpoint)
     channels, side, width = model.config.input_shape
     if channels % 2 or side != width:
         raise ValueError(f"{args.checkpoint}: input shape {(channels, side, width)} is not (2L, S, S)")
@@ -195,11 +191,14 @@ def cmd_predict(args):
         raise ValueError(f"manifest has no {args.split!r} entries")
     params = PredictParams(stack=StackSpec(channels // 2), k_samples=args.samples, out_side=side)
     dataset = pipeline.load_pair_dataset(entries, args.pairs)
-    clips = dataset.test_clips + [c for group in dataset.train_by_class for c in group]
-    _check_stack_fits(clips, params.stack.stack_length)
+    if dataset.stream != header["stream"]:
+        raise ValueError(
+            f"{args.checkpoint} was trained on {header['stream']} pairs, {args.pairs} holds {dataset.stream} pairs"
+        )
+    _check_stack_fits(dataset.clips, params.stack.stack_length)
     ids = []
     rows = []
-    for clip in clips:
+    for clip in dataset.clips:
         pred = predict_from_pairs(model, clip.pairs, params, clip.video_id)
         ids.append(pred.video_id)
         rows.append(pred.scores)
@@ -298,7 +297,7 @@ def build_parser():
     p.add_argument("input")
     p.add_argument("output")
     p.add_argument("--manifest")
-    p.add_argument("--mode", choices=("mos", "xy"), default=PredictParams.mode)
+    p.add_argument("--mode", choices=list(STREAMS), default=DEFAULT_STREAM)
     p.add_argument("--mag-low", type=float, default=MAG_BOUNDS.low)
     p.add_argument("--mag-high", type=float, default=MAG_BOUNDS.high)
     p.add_argument("--ori-low", type=float, default=ORI_BOUNDS.low)

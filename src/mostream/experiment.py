@@ -100,8 +100,6 @@ def _train_and_eval(dataset: ClipDataset, cfg: ExperimentConfig, transform) -> V
     train_seconds = time.perf_counter() - t0
 
     params = PredictParams(
-        tvl1=cfg.tvl1,
-        mos=cfg.mos,
         stack=StackSpec(cfg.stack_length),
         k_samples=cfg.test_samples,
         out_side=cfg.input_side,

@@ -1,8 +1,9 @@
 """Test-time prediction protocol, late score fusion, and accuracy reporting.
 
-A video's prediction averages eval-mode scores over k temporal samples
-times the ten-crop set (4 corners + center, plus mirrors). Streams fuse by
-a weighted sum of their per-class probability vectors, renormalized.
+A video's prediction starts from its byte pairs and averages eval-mode
+scores over k temporal samples times the ten-crop set (4 corners + center,
+plus mirrors). Streams fuse by a weighted sum of their per-class
+probability vectors, renormalized.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .augment import apply_crop, ten_crops
-from .mos import MosParams, mos_images, xy_images
+from .mos import MosParams, mos_images
 from .net import DEFAULT_INPUT_SIDE
 from .tvl1 import Tvl1Params, video_flows
 from .volume import StackSpec, sample_test_starts, stack_volume
@@ -27,7 +28,8 @@ DEFAULT_TEST_CROP_FRACTION = 0.875
 
 @dataclass(frozen=True)
 class PredictParams:
-    """Everything predict_video needs besides the frames and the network."""
+    """Settings of the test-time protocol besides the pairs and the network;
+    `tvl1` and `mos` are read by nothing here."""
 
     tvl1: Tvl1Params = field(default_factory=Tvl1Params)
     mos: MosParams = field(default_factory=MosParams)
@@ -35,7 +37,6 @@ class PredictParams:
     k_samples: int = DEFAULT_TEST_SAMPLES
     crop_fraction: float = DEFAULT_TEST_CROP_FRACTION
     out_side: int = DEFAULT_INPUT_SIDE
-    mode: str = "mos"
     volume_transform: Callable | None = None
 
     def __post_init__(self):
@@ -43,8 +44,6 @@ class PredictParams:
             raise ValueError(f"k_samples must be >= 1, got {self.k_samples}")
         if not 0.0 < self.crop_fraction <= 1.0:
             raise ValueError(f"crop_fraction must lie in (0, 1], got {self.crop_fraction}")
-        if self.mode not in ("mos", "xy"):
-            raise ValueError(f"mode must be 'mos' or 'xy', got {self.mode!r}")
 
 
 @dataclass(frozen=True)
@@ -67,14 +66,10 @@ def argmax_class(scores) -> int:
     return int(np.argmax(scores))
 
 
-def pairs_from_frames(frames, tvl1_params: Tvl1Params, mos_params: MosParams, mode: str = "mos"):
-    """Frames -> per-transition byte-image pairs (mos or xy mode)."""
+def pairs_from_frames(frames, tvl1_params: Tvl1Params, mos_params: MosParams):
+    """Frames -> per-transition magnitude/orientation byte pairs."""
     flows = video_flows(frames, tvl1_params)
-    if mode == "mos":
-        return [mos_images(f, mos_params) for f in flows]
-    if mode == "xy":
-        return [xy_images(f, mos_params.mag_bounds) for f in flows]
-    raise ValueError(f"mode must be 'mos' or 'xy', got {mode!r}")
+    return [mos_images(f, mos_params) for f in flows]
 
 
 def predict_from_pairs(net, pairs, params: PredictParams, video_id: str = "") -> VideoPrediction:
@@ -103,17 +98,6 @@ def predict_from_pairs(net, pairs, params: PredictParams, video_id: str = "") ->
     scores = total / count
     scores = scores / scores.sum()
     return VideoPrediction(video_id, scores, argmax_class(scores))
-
-
-def predict_video(net, frames, params: PredictParams, video_id: str = "") -> VideoPrediction:
-    """Full protocol from raw frames: flow, byte pairs, sampling, crops."""
-    if len(frames) < params.stack.stack_length + 1:
-        raise ValueError(
-            f"video too short: got {len(frames)} frames, "
-            f"need at least {params.stack.stack_length + 1}"
-        )
-    pairs = pairs_from_frames(frames, params.tvl1, params.mos, params.mode)
-    return predict_from_pairs(net, pairs, params, video_id)
 
 
 def fuse(stream_scores: Sequence, weights: Sequence[float]) -> np.ndarray:

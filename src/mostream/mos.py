@@ -1,16 +1,17 @@
 """Flow-to-image transforms: byte rescaling, magnitude, orientation, filtering.
 
 A flow field becomes either a magnitude/orientation byte pair or a raw
-x/y-component byte pair. The magnitude image doubles as a noise gate for
-the orientation image: pixels whose rescaled magnitude stays below the
-threshold have their angle forced to zero degrees before quantization.
+x/y-component byte pair; ``STREAMS`` is the one table of these stream
+kinds. The magnitude image doubles as a noise gate for the orientation
+image: pixels whose rescaled magnitude stays below the threshold have
+their angle forced to zero degrees before quantization.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -103,3 +104,27 @@ def mos_images(flow: FlowField, params: MosParams = MosParams()) -> MosPair:
 def xy_images(flow: FlowField, bounds: RescaleBounds = MAG_BOUNDS) -> XyPair:
     """Byte pair of the raw horizontal/vertical flow components."""
     return XyPair(rescale_image(flow.u, bounds), rescale_image(flow.v, bounds))
+
+
+class Stream(NamedTuple):
+    """A temporal stream kind: the file prefixes of its two byte images,
+    its pair type, and its coder `(flow, MosParams) -> pair`."""
+
+    prefixes: tuple[str, str]
+    pair: type
+    code: Callable
+
+
+# The paper's stream, then the x/y baseline of classic two-stream networks.
+# The coders look `mos_images`/`xy_images` up when called, so a wrapper
+# installed on this module sees every call.
+STREAMS = {
+    "mos": Stream(("mag", "ori"), MosPair, lambda flow, params: mos_images(flow, params)),
+    "xy": Stream(("x", "y"), XyPair, lambda flow, params: xy_images(flow, params.mag_bounds)),
+}
+DEFAULT_STREAM = "mos"
+
+
+def stream_of(pairs) -> str:
+    """Name of the stream kind whose pair type `pairs[0]` is."""
+    return next(name for name, stream in STREAMS.items() if isinstance(pairs[0], stream.pair))

@@ -19,6 +19,7 @@ from typing import Callable, Sequence, Union
 
 import numpy as np
 
+from .mos import DEFAULT_STREAM, STREAMS
 from .raster import Rng, make_rng, rng_uniform
 from .volume import DEFAULT_STACK_LENGTH
 
@@ -486,8 +487,9 @@ def train(
 
 
 # --------------------------------------------------------------------------
-# checkpoint format: magic "MOSN", version byte, JSON layer descriptors,
-# then raw float64 little-endian parameter payloads in layer order.
+# checkpoint format: magic "MOSN", version byte, JSON header (stream kind,
+# layer descriptors, parameter table), then raw float64 little-endian
+# parameter payloads in layer order.
 
 _SPEC_TAGS = {
     ConvSpec: "conv",
@@ -509,9 +511,11 @@ def _spec_from_dict(d):
     return cls(**{f.name: d[f.name] for f in fields(cls)})
 
 
-def save_checkpoint(net: TinyNet, path, iterations: int = 0):
-    """Write a bit-exact snapshot of the network to `path`."""
+def save_checkpoint(net: TinyNet, path, iterations: int = 0, stream: str = DEFAULT_STREAM):
+    """Write a bit-exact snapshot of the network to `path`; `stream` names
+    the kind of byte pairs it was trained on."""
     header = {
+        "stream": stream,
         "input_shape": list(net.config.input_shape),
         "num_classes": net.config.num_classes,
         "layers": [_spec_to_dict(s) for s in net.config.layers],
@@ -550,6 +554,8 @@ def load_checkpoint(path) -> tuple[TinyNet, dict]:
             num_classes=header["num_classes"],
             layers=tuple(_spec_from_dict(d) for d in header["layers"]),
         )
+        if header["stream"] not in STREAMS:
+            raise ValueError(f"{path}: unknown stream kind {header['stream']!r}")
         net = TinyNet(config, make_rng(0))
         for (i, name, arr), meta in zip(net.parameters(), header["params"]):
             if [i, name] != [meta["layer"], meta["name"]] or list(arr.shape) != meta["shape"]:

@@ -12,7 +12,7 @@ import numpy as np
 from .augment import apply_crop, random_multiscale_crop
 from .formats import ManifestEntry, read_pgm, read_ppm
 from .fusion import pairs_from_frames
-from .mos import MosPair, MosParams, XyPair
+from .mos import STREAMS, MosParams, stream_of
 from .net import DEFAULT_INPUT_SIDE
 from .raster import Rng, to_gray
 from .tvl1 import Tvl1Params
@@ -38,6 +38,16 @@ class ClipDataset:
     def num_classes(self) -> int:
         return len(self.classes)
 
+    @property
+    def clips(self) -> list[Clip]:
+        """Test clips, then train clips class by class."""
+        return self.test_clips + [c for group in self.train_by_class for c in group]
+
+    @property
+    def stream(self) -> str:
+        """Stream kind of the first clip's pairs (`load_pair_dataset` rejects a mix)."""
+        return stream_of(self.clips[0].pairs)
+
 
 def read_clip_frames(clip_dir) -> list[np.ndarray]:
     """Grayscale float frames from a directory of PGM/PPM files, sorted by name."""
@@ -57,12 +67,13 @@ def read_clip_frames(clip_dir) -> list[np.ndarray]:
 def read_pair_sequence(clip_dir) -> list:
     """Byte-image pairs from a directory `mostream mos` wrote, in index order.
 
-    The stream kind comes from the file names: `mag_NNNN.pgm`/`ori_NNNN.pgm`
-    or `x_NNNN.pgm`/`y_NNNN.pgm`. Files pair by their index NNNN, and both
-    halves must cover the same indices.
+    The stream kind comes from the file names, `<prefix>_NNNN.pgm` with a
+    kind's two prefixes from `mos.STREAMS`. Files pair by their index NNNN,
+    and both halves must cover the same indices.
     """
     clip_dir = Path(clip_dir)
-    for first, second, pair in (("mag", "ori", MosPair), ("x", "y", XyPair)):
+    for stream in STREAMS.values():
+        first, second = stream.prefixes
         firsts = {p.stem[len(first) + 1 :]: p for p in clip_dir.glob(f"{first}_*.pgm")}
         if not firsts:
             continue
@@ -70,8 +81,9 @@ def read_pair_sequence(clip_dir) -> list:
         unmatched = sorted(firsts.keys() ^ seconds.keys())
         if unmatched:
             raise ValueError(f"{clip_dir}: {first}_/{second}_ images without a partner at indices {unmatched}")
-        return [pair(read_pgm(firsts[i]), read_pgm(seconds[i])) for i in sorted(firsts)]
-    raise ValueError(f"no mag_/ori_ or x_/y_ PGM pairs in {clip_dir}")
+        return [stream.pair(read_pgm(firsts[i]), read_pgm(seconds[i])) for i in sorted(firsts)]
+    kinds = " or ".join("{}_/{}_".format(*stream.prefixes) for stream in STREAMS.values())
+    raise ValueError(f"no {kinds} PGM pairs in {clip_dir}")
 
 
 def _group_clips(entries: list[ManifestEntry], root, pairs_of: Callable, progress=None) -> ClipDataset:
@@ -117,8 +129,18 @@ def load_dataset(
 
 def load_pair_dataset(entries: list[ManifestEntry], pair_root) -> ClipDataset:
     """Read every manifest clip's byte pairs from `pair_root / <path>`,
-    the tree `mostream mos --manifest` writes; no flow is computed."""
-    return _group_clips(entries, pair_root, read_pair_sequence)
+    the tree `mostream mos --manifest` writes; no flow is computed.
+
+    All clips must hold pairs of one stream kind.
+    """
+    dataset = _group_clips(entries, pair_root, read_pair_sequence)
+    first_clip = {}
+    for clip in dataset.clips:
+        first_clip.setdefault(stream_of(clip.pairs), clip.video_id)
+    if len(first_clip) > 1:
+        mix = ", ".join(f"{kind} (clip {video_id})" for kind, video_id in first_clip.items())
+        raise ValueError(f"{pair_root} mixes stream kinds: {mix}")
+    return dataset
 
 
 @dataclass(frozen=True)
@@ -135,7 +157,7 @@ class TrainPipeline:
         if self.volume_transform is not None:
             vol = self.volume_transform(vol)
         h, w = vol.shape[1:]
-        crop = random_multiscale_crop(w, h, rng=rng, out_side=self.out_side)
+        crop = random_multiscale_crop(w, h, rng, self.out_side)
         return apply_crop(vol, crop)
 
 

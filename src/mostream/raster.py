@@ -54,24 +54,8 @@ class FlowField:
         object.__setattr__(self, "v", v)
 
     @property
-    def height(self) -> int:
-        return self.u.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.u.shape[1]
-
-    @property
     def shape(self) -> tuple[int, int]:
         return self.u.shape
-
-
-def pixel_at(img: np.ndarray, x: int, y: int) -> float:
-    """Value of the pixel at integer coordinates (x, y), row-major."""
-    h, w = img.shape
-    if not (0 <= x < w and 0 <= y < h):
-        raise IndexError(f"pixel ({x}, {y}) outside {w}x{h} image")
-    return float(img[y, x])
 
 
 def bilinear_map(img: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
@@ -93,11 +77,6 @@ def bilinear_map(img: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     top = img[y0, x0] * (1.0 - fx) + img[y0, x1] * fx
     bot = img[y1, x0] * (1.0 - fx) + img[y1, x1] * fx
     return top * (1.0 - fy) + bot * fy
-
-
-def bilinear_sample(img: np.ndarray, x: float, y: float) -> float:
-    """Bilinear interpolation at a single real coordinate, clamped borders."""
-    return float(bilinear_map(img, np.float64(x), np.float64(y)))
 
 
 def resize_bilinear(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:

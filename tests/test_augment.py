@@ -3,7 +3,6 @@ import pytest
 
 from mostream.augment import (
     CropSpec,
-    ScaleSet,
     apply_crop,
     five_crops,
     random_multiscale_crop,
@@ -14,30 +13,30 @@ from mostream.raster import make_rng
 
 class TestFiveCrops:
     def test_reference_geometry_256_to_224(self):
-        crops = five_crops(256, 256, 224, 224)
+        crops = five_crops(256, 256, 224, 224, 224)
         assert [(c.x, c.y) for c in crops] == [(0, 0), (32, 0), (0, 32), (32, 32), (16, 16)]
 
     def test_crop_equals_source(self):
-        crops = five_crops(64, 64, 64, 64)
+        crops = five_crops(64, 64, 64, 64, 224)
         assert all((c.x, c.y) == (0, 0) for c in crops)
 
     def test_small_case(self):
-        crops = five_crops(4, 4, 2, 2)
+        crops = five_crops(4, 4, 2, 2, 224)
         assert [(c.x, c.y) for c in crops] == [(0, 0), (2, 0), (0, 2), (2, 2), (1, 1)]
 
     def test_oversized_crop_rejected(self):
         with pytest.raises(ValueError, match="larger than source"):
-            five_crops(10, 10, 11, 10)
+            five_crops(10, 10, 11, 10, 224)
 
 
 class TestTenCrops:
     def test_count_and_flip_order(self):
-        crops = ten_crops(64, 64, 56, 56)
+        crops = ten_crops(64, 64, 56, 56, 224)
         assert len(crops) == 10
         assert [c.flip for c in crops] == [False] * 5 + [True] * 5
 
     def test_flipped_half_mirrors_positions(self):
-        crops = ten_crops(64, 48, 40, 40)
+        crops = ten_crops(64, 48, 40, 40, 224)
         for base, flipped in zip(crops[:5], crops[5:]):
             assert (base.x, base.y, base.crop_w, base.crop_h) == (
                 flipped.x,
@@ -66,38 +65,22 @@ class TestRandomMultiscaleCrop:
         rng = make_rng(2)
         sides = set()
         for _ in range(200):
-            spec = random_multiscale_crop(256, 256, ScaleSet(), rng)
+            spec = random_multiscale_crop(256, 256, rng, 224)
             sides.add(spec.crop_w)
             sides.add(spec.crop_h)
         assert sides == {256, 224, 192, 168}
 
-    def test_single_fraction_full_frame(self):
-        rng = make_rng(3)
-        for _ in range(10):
-            spec = random_multiscale_crop(64, 64, ScaleSet((1.0,)), rng)
-            assert (spec.crop_w, spec.crop_h, spec.x, spec.y) == (64, 64, 0, 0)
-
     def test_deterministic_per_seed(self):
-        a = [random_multiscale_crop(64, 64, ScaleSet(), make_rng(9)) for _ in range(1)]
-        b = [random_multiscale_crop(64, 64, ScaleSet(), make_rng(9)) for _ in range(1)]
+        a = [random_multiscale_crop(64, 64, make_rng(9), 224) for _ in range(1)]
+        b = [random_multiscale_crop(64, 64, make_rng(9), 224) for _ in range(1)]
         assert a == b
 
     def test_positions_are_canonical(self):
         rng = make_rng(4)
         for _ in range(100):
-            spec = random_multiscale_crop(64, 64, ScaleSet(), rng)
-            allowed = {(c.x, c.y) for c in five_crops(64, 64, spec.crop_w, spec.crop_h)}
+            spec = random_multiscale_crop(64, 64, rng, 224)
+            allowed = {(c.x, c.y) for c in five_crops(64, 64, spec.crop_w, spec.crop_h, 224)}
             assert (spec.x, spec.y) in allowed
-
-    def test_requires_rng(self):
-        with pytest.raises(ValueError):
-            random_multiscale_crop(64, 64, ScaleSet(), None)
-
-    def test_scale_set_validation(self):
-        with pytest.raises(ValueError):
-            ScaleSet((0.5, 1.2))
-        with pytest.raises(ValueError):
-            ScaleSet(())
 
 
 class TestApplyCrop:

@@ -1,3 +1,5 @@
+import shutil
+
 import numpy as np
 import pytest
 
@@ -39,14 +41,30 @@ def tiny_dataset(tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
-def tiny_pairs(tiny_dataset, tmp_path_factory):
-    """The `mos` byte-pair tree of `tiny_dataset`, built through the CLI."""
-    manifest = str(tiny_dataset / "manifest.tsv")
+def tiny_flows(tiny_dataset, tmp_path_factory):
+    """The `.flo` tree of `tiny_dataset`, built through the CLI."""
     flows = tmp_path_factory.mktemp("flows")
-    pairs = tmp_path_factory.mktemp("mos")
-    assert main(["flow", str(tiny_dataset), str(flows), "--manifest", manifest]) == 0
-    assert main(["mos", str(flows), str(pairs), "--manifest", manifest]) == 0
+    assert main(["flow", str(tiny_dataset), str(flows), "--manifest", str(tiny_dataset / "manifest.tsv")]) == 0
+    return flows
+
+
+def _pair_tree(tiny_dataset, tiny_flows, tmp_path_factory, mode):
+    pairs = tmp_path_factory.mktemp(mode)
+    argv = ["mos", str(tiny_flows), str(pairs), "--manifest", str(tiny_dataset / "manifest.tsv"), "--mode", mode]
+    assert main(argv) == 0
     return pairs
+
+
+@pytest.fixture(scope="module")
+def tiny_pairs(tiny_dataset, tiny_flows, tmp_path_factory):
+    """The `mos` byte-pair tree of `tiny_dataset`, built through the CLI."""
+    return _pair_tree(tiny_dataset, tiny_flows, tmp_path_factory, "mos")
+
+
+@pytest.fixture(scope="module")
+def tiny_xy_pairs(tiny_dataset, tiny_flows, tmp_path_factory):
+    """The `xy` byte-pair tree of `tiny_dataset`, built through the CLI."""
+    return _pair_tree(tiny_dataset, tiny_flows, tmp_path_factory, "xy")
 
 
 class TestSynthCommand:
@@ -264,8 +282,7 @@ def test_train_and_predict_run_no_flow_code(tiny_dataset, tmp_path, monkeypatch)
         return wrapper
 
     for owner, name in [(tvl1, "video_flows"), (fusion, "video_flows"), (cli, "video_flows"),
-                        (mos, "mos_images"), (fusion, "mos_images"), (cli, "mos_images"),
-                        (mos, "xy_images"), (fusion, "xy_images"), (cli, "xy_images")]:
+                        (mos, "mos_images"), (fusion, "mos_images"), (mos, "xy_images")]:
         monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
     manifest = str(tiny_dataset / "manifest.tsv")
     steps = [
@@ -440,6 +457,35 @@ class TestHostileInputs:
         monkeypatch.setattr(cli, "predict_from_pairs", no_prediction)
         assert self._predict(tiny_dataset, tiny_pairs, ckpt, tmp_path) == 1
         self._assert_short_clip_error(capsys, tiny_dataset, "test")
+
+    def test_predict_rejects_pairs_of_another_stream(self, tiny_dataset, tiny_pairs, tiny_xy_pairs, tmp_path,
+                                                      monkeypatch, capsys):
+        ckpt = tmp_path / "model.mosn"
+        assert self._train(tiny_dataset, tiny_pairs, tmp_path, "--iterations", "1", "--batch-size", "2",
+                           "--input-side", "16") == 0
+        capsys.readouterr()
+
+        def no_prediction(*args, **kwargs):
+            raise AssertionError("a clip was predicted before the stream kind was checked")
+
+        monkeypatch.setattr(cli, "predict_from_pairs", no_prediction)
+        assert self._predict(tiny_dataset, tiny_xy_pairs, ckpt, tmp_path) == 1
+        assert_one_line_error(capsys)
+        assert not (tmp_path / "scores.csv").exists()
+        assert load_checkpoint(ckpt)[1]["stream"] == "mos"
+
+    def test_train_rejects_a_tree_mixing_streams(self, tiny_dataset, tiny_pairs, tiny_xy_pairs, tmp_path, capsys):
+        first = read_manifest(tiny_dataset / "manifest.tsv")[0].path
+        mixed = tmp_path / "mixed"
+        shutil.copytree(tiny_pairs, mixed)
+        shutil.rmtree(mixed / first)
+        shutil.copytree(tiny_xy_pairs / first, mixed / first)
+        assert self._train(tiny_dataset, mixed, tmp_path, "--iterations", "1", "--batch-size", "2",
+                           "--input-side", "16") == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: "), err
+        assert f"xy (clip {first})" in err and "mos (clip " in err
+        assert not (tmp_path / "model.mosn").exists()
 
     @staticmethod
     def _assert_short_clip_error(capsys, tiny_dataset, split):

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from conftest import shift_image, smooth_texture
 from mostream.fusion import (
     PredictParams,
     argmax_class,
@@ -9,9 +8,7 @@ from mostream.fusion import (
     evaluate,
     fuse,
     multi_split_average,
-    pairs_from_frames,
     predict_from_pairs,
-    predict_video,
     VideoPrediction,
 )
 from mostream.mos import MosPair
@@ -130,34 +127,6 @@ class TestPredict:
         net = ConstantNet([1.0, 0.0], (20, 14, 14))
         with pytest.raises(ValueError, match="at least 11 frames"):
             predict_from_pairs(net, fake_pairs(3, 5), PredictParams(out_side=14), "vid")
-
-    def test_predict_video_from_frames(self):
-        tex = smooth_texture(40, 32, 32)
-        frames = [shift_image(tex, 2.0 * t, 0.0) for t in range(4)]
-        config = NetConfig(input_shape=(6, 16, 16), num_classes=2, layers=(FcSpec(2),))
-        model = TinyNet(config, make_rng(41))
-        params = PredictParams(stack=StackSpec(3), k_samples=2, out_side=16)
-        pred = predict_video(model, frames, params, "clip0")
-        assert pred.video_id == "clip0"
-        assert pred.scores.shape == (2,)
-        assert pred.scores.sum() == pytest.approx(1.0)
-
-    def test_predict_video_too_short(self):
-        config = NetConfig(input_shape=(20, 16, 16), num_classes=2, layers=(FcSpec(2),))
-        model = TinyNet(config, make_rng(42))
-        frames = [smooth_texture(43, 32, 32)] * 5
-        with pytest.raises(ValueError, match="need at least 11"):
-            predict_video(model, frames, PredictParams(out_side=16), "x")
-
-    def test_xy_mode_pairs(self):
-        tex = smooth_texture(44, 32, 32)
-        frames = [tex, shift_image(tex, 1.0, 0.0)]
-        from mostream.mos import MosParams
-        from mostream.tvl1 import Tvl1Params
-
-        pairs = pairs_from_frames(frames, Tvl1Params(), MosParams(), mode="xy")
-        assert len(pairs) == 1
-        assert pairs[0].flow_x.dtype == np.uint8
 
     def test_prediction_is_deterministic(self):
         config = NetConfig(input_shape=(6, 14, 14), num_classes=3, layers=(FcSpec(3),))

@@ -306,7 +306,7 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="trailing"):
             load_checkpoint(path)
 
-    @pytest.mark.parametrize("key", ["num_classes", "input_shape", "layers", "params"])
+    @pytest.mark.parametrize("key", ["num_classes", "input_shape", "layers", "params", "stream"])
     def test_missing_header_key_rejected(self, tmp_path, key):
         import json
         import struct
@@ -321,6 +321,12 @@ class TestCheckpoint:
         blob = json.dumps(header).encode()
         path.write_bytes(data[:5] + struct.pack("<I", len(blob)) + blob + data[9 + blob_len :])
         with pytest.raises(ValueError, match=key):
+            load_checkpoint(path)
+
+    def test_unknown_stream_rejected(self, tmp_path):
+        path = tmp_path / "model.mosn"
+        save_checkpoint(TinyNet(small_config(), make_rng(36)), path, stream="rgb")
+        with pytest.raises(ValueError, match="unknown stream kind 'rgb'"):
             load_checkpoint(path)
 
     def test_short_file_rejected(self, tmp_path):

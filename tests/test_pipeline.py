@@ -97,6 +97,7 @@ class TestLoadPairDataset:
         assert dataset.classes == ["a", "b"]
         assert [[c.video_id for c in g] for g in dataset.train_by_class] == [["a/clip_0"], ["b/clip_0"]]
         assert [(c.video_id, len(c.pairs)) for c in dataset.test_clips] == [("a/clip_1", 4)]
+        assert dataset.stream == "mos"
 
     def test_missing_clip_reported_before_reading(self, tmp_path):
         write_pairs(tmp_path / "a/clip_0", "mag", "ori", (0,), (1,))  # unreadable if reached

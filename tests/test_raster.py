@@ -7,54 +7,31 @@ from mostream.raster import (
     FlowField,
     RescaleBounds,
     bilinear_map,
-    bilinear_sample,
     make_rng,
-    pixel_at,
     resize_bilinear,
     rng_uniform,
     to_gray,
 )
 
 
-class TestPixelAt:
-    def test_single_pixel(self):
-        img = np.array([[7.0]])
-        assert pixel_at(img, 0, 0) == 7.0
-
-    def test_row_major_addressing(self):
-        img = np.array([[1.0, 2.0], [3.0, 4.0]])
-        assert pixel_at(img, 1, 0) == 2.0
-        assert pixel_at(img, 0, 1) == 3.0
-
-    def test_row_major_everywhere(self):
-        data = np.arange(12.0).reshape(3, 4)
-        for y in range(3):
-            for x in range(4):
-                assert pixel_at(data, x, y) == data.ravel()[y * 4 + x]
-
-    @pytest.mark.parametrize("x,y", [(-1, 0), (0, -1), (2, 0), (0, 2)])
-    def test_out_of_bounds(self, x, y):
-        img = np.zeros((2, 2))
-        with pytest.raises(IndexError, match=rf"\({x}, {y}\)"):
-            pixel_at(img, x, y)
-
-
 class TestBilinearSample:
+    """`bilinear_map` at single points."""
+
     def test_midpoint(self):
         img = np.array([[0.0, 10.0], [0.0, 10.0]])
-        assert bilinear_sample(img, 0.5, 0.0) == 5.0
+        assert bilinear_map(img, 0.5, 0.0) == 5.0
 
     def test_exact_at_integer_coordinates(self):
         img = make_rng(1).random((4, 5)) * 100
         for y in range(4):
             for x in range(5):
-                assert bilinear_sample(img, float(x), float(y)) == img[y, x]
+                assert bilinear_map(img, float(x), float(y)) == img[y, x]
 
     def test_border_clamp(self):
         img = np.array([[0.0, 10.0], [0.0, 10.0]])
-        assert bilinear_sample(img, -1.0, 0.0) == 0.0
-        assert bilinear_sample(img, 5.0, 0.0) == 10.0
-        assert bilinear_sample(img, 0.0, -3.0) == 0.0
+        assert bilinear_map(img, -1.0, 0.0) == 0.0
+        assert bilinear_map(img, 5.0, 0.0) == 10.0
+        assert bilinear_map(img, 0.0, -3.0) == 0.0
 
     @given(
         st.floats(-3.0, 6.0),
@@ -64,7 +41,7 @@ class TestBilinearSample:
     @settings(max_examples=200, deadline=None)
     def test_bounded_by_source(self, x, y, seed):
         img = make_rng(seed).random((3, 4))
-        value = bilinear_sample(img, x, y)
+        value = bilinear_map(img, x, y)
         assert img.min() - 1e-12 <= value <= img.max() + 1e-12
 
 
