@@ -270,6 +270,8 @@ def _flow_color(flow, max_mag=None):
 
 
 def cmd_viz(args):
+    if args.max_mag is not None and not (np.isfinite(args.max_mag) and args.max_mag >= 0):
+        raise ValueError(f"--max-mag must be finite and non-negative, got {args.max_mag}")
     flow = formats.read_flo(args.input)
     formats.write_ppm(args.output, _flow_color(flow, args.max_mag))
     return 0

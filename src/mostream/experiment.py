@@ -2,16 +2,17 @@
 
 Generates a synthetic motion dataset, computes flows and byte pairs once,
 then trains and evaluates two classifiers on the same data: the full
-magnitude/orientation input and an orientation-only ablation with the
-magnitude channels zeroed. The ablation collapses speed-paired classes,
-which is the point: the accuracy gap measures how much velocity
-information the magnitude channels carry.
+magnitude/orientation input and an orientation-only ablation whose
+magnitude bytes are all 128, the level that normalizes to 0.0. The
+ablation collapses speed-paired classes, which is the point: the accuracy
+gap measures how much velocity information the magnitude channels carry.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -19,8 +20,8 @@ import numpy as np
 from . import net
 from .formats import manifest_classes
 from .fusion import DEFAULT_TEST_SAMPLES, PredictParams, evaluate, predict_from_pairs
-from .mos import MosParams
-from .pipeline import ClipDataset, TrainPipeline, load_dataset, zero_magnitude_channels
+from .mos import MosPair, MosParams
+from .pipeline import ClipDataset, TrainPipeline, load_dataset
 from .raster import make_rng
 from .synth import SyntheticSpec, gen_synthetic
 from .tvl1 import Tvl1Params
@@ -79,7 +80,22 @@ class ExperimentResult:
         return 100.0 * (self.full.accuracy - self.orientation_only.accuracy)
 
 
-def _train_and_eval(dataset: ClipDataset, cfg: ExperimentConfig, transform) -> VariantResult:
+def orientation_only_dataset(dataset: ClipDataset) -> ClipDataset:
+    """The ablation's data: every magnitude image replaced by one shared
+    128-filled image per shape, so magnitude channels stack to 0.0."""
+    blank = cache(lambda shape: np.full(shape, 128, dtype=np.uint8))
+
+    def strip(clip):
+        return replace(clip, pairs=[MosPair(blank(m.shape), o) for m, o in clip.pairs])
+
+    return ClipDataset(
+        dataset.classes,
+        [[strip(c) for c in group] for group in dataset.train_by_class],
+        [strip(c) for c in dataset.test_clips],
+    )
+
+
+def _train_and_eval(dataset: ClipDataset, cfg: ExperimentConfig) -> VariantResult:
     config = net.desk_net_config(
         input_shape=(2 * cfg.stack_length, cfg.input_side, cfg.input_side),
         num_classes=dataset.num_classes,
@@ -90,11 +106,7 @@ def _train_and_eval(dataset: ClipDataset, cfg: ExperimentConfig, transform) -> V
         batch_size=cfg.batch_size,
         seed=cfg.seed,
     )
-    pipe = TrainPipeline(
-        stack=StackSpec(cfg.stack_length),
-        out_side=cfg.input_side,
-        volume_transform=transform,
-    )
+    pipe = TrainPipeline(stack=StackSpec(cfg.stack_length), out_side=cfg.input_side)
     t0 = time.perf_counter()
     curve = net.train(model, dataset.train_by_class, pipe.make_volume, train_cfg)
     train_seconds = time.perf_counter() - t0
@@ -103,7 +115,6 @@ def _train_and_eval(dataset: ClipDataset, cfg: ExperimentConfig, transform) -> V
         stack=StackSpec(cfg.stack_length),
         k_samples=cfg.test_samples,
         out_side=cfg.input_side,
-        volume_transform=transform,
     )
     t0 = time.perf_counter()
     predictions = [
@@ -148,13 +159,13 @@ def run_desk_experiment(work_dir, cfg: ExperimentConfig = ExperimentConfig(), pr
     if progress:
         progress(f"flow/byte pairs for {len(entries)} clips ({pairs_seconds:.1f}s)")
 
-    full = _train_and_eval(dataset, cfg, None)
+    full = _train_and_eval(dataset, cfg)
     if progress:
         progress(
             f"full input: accuracy {full.accuracy * 100:.1f}% "
             f"(train {full.train_seconds:.1f}s, predict {full.predict_seconds:.1f}s)"
         )
-    ablation = _train_and_eval(dataset, cfg, zero_magnitude_channels)
+    ablation = _train_and_eval(orientation_only_dataset(dataset), cfg)
     if progress:
         progress(
             f"orientation-only: accuracy {ablation.accuracy * 100:.1f}% "

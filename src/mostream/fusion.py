@@ -9,7 +9,7 @@ probability vectors, renormalized.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -35,15 +35,11 @@ class PredictParams:
     mos: MosParams = field(default_factory=MosParams)
     stack: StackSpec = field(default_factory=StackSpec)
     k_samples: int = DEFAULT_TEST_SAMPLES
-    crop_fraction: float = DEFAULT_TEST_CROP_FRACTION
     out_side: int = DEFAULT_INPUT_SIDE
-    volume_transform: Callable | None = None
 
     def __post_init__(self):
         if self.k_samples < 1:
             raise ValueError(f"k_samples must be >= 1, got {self.k_samples}")
-        if not 0.0 < self.crop_fraction <= 1.0:
-            raise ValueError(f"crop_fraction must lie in (0, 1], got {self.crop_fraction}")
 
 
 @dataclass(frozen=True)
@@ -81,7 +77,7 @@ def predict_from_pairs(net, pairs, params: PredictParams, video_id: str = "") ->
             f"(needs at least {length + 1} frames)"
         )
     h, w = np.asarray(pairs[0][0]).shape
-    crop_side = int(np.floor(params.crop_fraction * min(h, w) + 0.5))
+    crop_side = int(np.floor(DEFAULT_TEST_CROP_FRACTION * min(h, w) + 0.5))
     crops = ten_crops(w, h, crop_side, crop_side, params.out_side)
     starts = sample_test_starts(len(pairs), length, params.k_samples)
 
@@ -89,10 +85,8 @@ def predict_from_pairs(net, pairs, params: PredictParams, video_id: str = "") ->
     count = 0
     for start in starts:
         vol = stack_volume(pairs, start, params.stack)
-        if params.volume_transform is not None:
-            vol = params.volume_transform(vol)
         batch = np.stack([apply_crop(vol, c) for c in crops])
-        probs = net.forward(batch, mode="eval")
+        probs = net.forward(batch)
         total = probs.sum(axis=0) if total is None else total + probs.sum(axis=0)
         count += probs.shape[0]
     scores = total / count
@@ -105,8 +99,10 @@ def fuse(stream_scores: Sequence, weights: Sequence[float]) -> np.ndarray:
     if len(stream_scores) != len(weights):
         raise ValueError(f"{len(stream_scores)} streams but {len(weights)} weights")
     weights = np.asarray(weights, dtype=np.float64)
-    if weights.ndim != 1 or (weights < 0).any() or not (weights > 0).any():
-        raise ValueError("weights must be non-negative with at least one positive entry")
+    if weights.ndim != 1 or not np.isfinite(weights).all() or (weights < 0).any() or not (weights > 0).any():
+        raise ValueError(
+            f"weights must be finite and non-negative with at least one positive entry, got {weights.tolist()}"
+        )
     vectors = [np.asarray(s, dtype=np.float64) for s in stream_scores]
     k = vectors[0].shape
     for i, vec in enumerate(vectors):

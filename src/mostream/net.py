@@ -119,8 +119,9 @@ class TrainConfig:
 
     def __post_init__(self):
         for name in ("base_lr", "lr_factor", "momentum", "weight_decay"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and non-negative, got {value}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.lr_step < 1 or self.max_iter < 0:
@@ -355,18 +356,15 @@ class TinyNet:
             return x, False
         raise ValueError(f"expected (C, H, W) or (N, C, H, W) input, got shape {x.shape}")
 
-    def forward(self, volume, mode: str = "eval", rng: Rng = None):
-        """Class probabilities for a volume or batch of volumes."""
-        if mode not in ("eval", "train"):
-            raise ValueError(f"mode must be 'eval' or 'train', got {mode!r}")
-        probs, _ = self._forward(volume, mode == "train", rng, want_cache=False)
-        return probs
+    def forward(self, volume):
+        """Eval-mode class probabilities for a volume or batch of volumes."""
+        return self._forward(volume, False, None)[0]
 
     def forward_with_cache(self, volume, rng: Rng = None):
         """Train-mode forward returning (probabilities, caches) for backward."""
-        return self._forward(volume, True, rng, want_cache=True)
+        return self._forward(volume, True, rng)
 
-    def _forward(self, volume, train, rng, want_cache):
+    def _forward(self, volume, train, rng):
         x, single = self._as_batch(volume)
         expected = tuple(self.config.input_shape)
         if x.shape[1:] != expected:
@@ -378,9 +376,7 @@ class TinyNet:
         logits = x.reshape(x.shape[0], self.config.num_classes)
         probs = _softmax(logits)
         out = probs[0] if single else probs
-        if want_cache:
-            return out, {"layers": caches, "probs": probs, "logits_shape": x.shape}
-        return out, None
+        return out, {"layers": caches, "probs": probs, "logits_shape": x.shape}
 
     def backward(self, cache, targets):
         """Softmax cross-entropy gradients for every parameter.
@@ -448,6 +444,8 @@ def sgd_step(net: TinyNet, grads, state: SgdState, iteration: int, cfg: TrainCon
     return net
 
 
+# A diverging step overflows quietly; train reports its non-finite loss.
+@np.errstate(over="ignore", invalid="ignore")
 def train(
     net: TinyNet,
     train_by_class: Sequence[Sequence],
@@ -460,7 +458,8 @@ def train(
     `train_by_class[c]` lists the training clips of class c; `make_volume`
     maps (clip, rng) to an input volume and is where the random stack
     start and random crop are drawn. Returns the loss curve as a list of
-    (iteration, lr, loss) tuples. Fully determined by cfg.seed.
+    (iteration, lr, loss) tuples. Fully determined by cfg.seed. Raises
+    ValueError at the first non-finite loss, before that step's update.
     """
     k = len(train_by_class)
     if k == 0 or any(len(clips) == 0 for clips in train_by_class):
@@ -478,6 +477,8 @@ def train(
         batch = np.stack(xs)
         targets = np.asarray(classes, dtype=np.intp)
         loss, grads = net.loss_and_grads(batch, targets, rng)
+        if not np.isfinite(loss):
+            raise ValueError(f"training diverged at iteration {it}: non-finite loss {loss}")
         sgd_step(net, grads, state, it, cfg)
         lr = learning_rate(it, cfg)
         curve.append((it, lr, loss))
@@ -562,6 +563,8 @@ def load_checkpoint(path) -> tuple[TinyNet, dict]:
                 raise ValueError("checkpoint parameter table does not match the architecture")
             count = int(np.prod(arr.shape))
             vals = np.frombuffer(data, dtype="<f8", count=count, offset=offset)
+            if not np.isfinite(vals).all():
+                raise ValueError(f"{path}: layer {i} parameter {name!r} holds non-finite values")
             arr[...] = vals.reshape(arr.shape)
             offset += count * 8
     except (KeyError, TypeError) as exc:

@@ -149,20 +149,10 @@ class TrainPipeline:
 
     stack: StackSpec = field(default_factory=StackSpec)
     out_side: int = DEFAULT_INPUT_SIDE
-    volume_transform: Callable | None = None
 
     def make_volume(self, clip: Clip, rng: Rng) -> np.ndarray:
         start = sample_train_start(len(clip.pairs), self.stack.stack_length, rng)
         vol = stack_volume(clip.pairs, start, self.stack)
-        if self.volume_transform is not None:
-            vol = self.volume_transform(vol)
         h, w = vol.shape[1:]
         crop = random_multiscale_crop(w, h, rng, self.out_side)
         return apply_crop(vol, crop)
-
-
-def zero_magnitude_channels(volume: np.ndarray) -> np.ndarray:
-    """Ablation transform: blank the magnitude channels (even indices)."""
-    out = volume.copy()
-    out[0::2] = 0.0
-    return out

@@ -32,6 +32,8 @@ class RescaleBounds:
     high: float
 
     def __post_init__(self):
+        if not (np.isfinite(self.low) and np.isfinite(self.high)):
+            raise ValueError(f"rescale bounds must be finite, got ({self.low}, {self.high})")
         if not self.low < self.high:
             raise ValueError(f"rescale bounds require low < high, got ({self.low}, {self.high})")
 

@@ -30,6 +30,9 @@ DIRECTIONS = {
 # Extra canvas room for the random starting phase, pixels per axis.
 _PHASE_ROOM = 8
 
+# Gaussian smoothing of the white-noise texture, pixels.
+_TEXTURE_SIGMA = 1.5
+
 
 @dataclass(frozen=True)
 class MotionClass:
@@ -47,7 +50,6 @@ class SyntheticSpec:
     directions: tuple[str, ...] = ("right", "left", "up", "down")
     motions: tuple[str, ...] = ("translate",)
     train_fraction: float = 0.8
-    texture_sigma: float = 1.5
     stack_length: int = DEFAULT_STACK_LENGTH
 
     def __post_init__(self):
@@ -60,6 +62,8 @@ class SyntheticSpec:
             raise ValueError(f"frame_size must be at least 16x16, got {self.frame_size}")
         if self.clips_per_class < 1:
             raise ValueError("clips_per_class must be >= 1")
+        if not np.isfinite(self.speeds).all():
+            raise ValueError(f"speeds must be finite, got {self.speeds}")
         if not 0.0 < self.train_fraction < 1.0:
             raise ValueError(f"train_fraction must lie in (0, 1), got {self.train_fraction}")
         unknown = set(self.motions) - {"translate", "rotate", "zoom"}
@@ -96,8 +100,8 @@ def _fmt(speed: float) -> str:
     return f"{speed:g}".replace(".", "p")
 
 
-def _texture(rng: Rng, h: int, w: int, sigma: float) -> np.ndarray:
-    tex = gaussian_filter(rng.standard_normal((h, w)), sigma, mode="wrap")
+def _texture(rng: Rng, h: int, w: int) -> np.ndarray:
+    tex = gaussian_filter(rng.standard_normal((h, w)), _TEXTURE_SIGMA, mode="wrap")
     lo, hi = tex.min(), tex.max()
     return (tex - lo) * (255.0 / (hi - lo))
 
@@ -119,7 +123,7 @@ def render_clip(cls: MotionClass, spec: SyntheticSpec, rng: Rng) -> list[np.ndar
         dx, dy = cls.param
         span_x = int(np.ceil(abs(dx) * (t_count - 1)))
         span_y = int(np.ceil(abs(dy) * (t_count - 1)))
-        canvas = _texture(rng, h + span_y + _PHASE_ROOM, w + span_x + _PHASE_ROOM, spec.texture_sigma)
+        canvas = _texture(rng, h + span_y + _PHASE_ROOM, w + span_x + _PHASE_ROOM)
         # Window slides by -d per frame; start so every offset stays inside.
         ox = rng_uniform(rng, _PHASE_ROOM + 1) + (span_x if dx > 0 else 0)
         oy = rng_uniform(rng, _PHASE_ROOM + 1) + (span_y if dy > 0 else 0)
@@ -132,7 +136,7 @@ def render_clip(cls: MotionClass, spec: SyntheticSpec, rng: Rng) -> list[np.ndar
     # Rotation and zoom sample the canvas through the inverse affine map
     # about the frame center; the margin absorbs the corner excursions.
     margin = int(np.ceil(0.5 * max(h, w))) + _PHASE_ROOM
-    canvas = _texture(rng, h + 2 * margin, w + 2 * margin, spec.texture_sigma)
+    canvas = _texture(rng, h + 2 * margin, w + 2 * margin)
     phase_x = rng_uniform(rng, _PHASE_ROOM + 1) - _PHASE_ROOM // 2
     phase_y = rng_uniform(rng, _PHASE_ROOM + 1) - _PHASE_ROOM // 2
     cx = margin + phase_x + (w - 1) / 2.0

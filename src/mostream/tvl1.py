@@ -47,8 +47,9 @@ class Tvl1Params:
 
     def __post_init__(self):
         for name in ("lam", "tv_theta", "tau", "pyramid_scale", "stop_epsilon"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, got {value}")
         if not 0.0 < self.pyramid_scale < 1.0:
             raise ValueError(f"pyramid_scale must lie in (0, 1), got {self.pyramid_scale}")
         if self.levels < 1 or self.warps_per_level < 1 or self.inner_iterations < 1:

@@ -48,12 +48,8 @@ def stack_volume(pairs: Sequence, start: int = 0, spec: StackSpec = StackSpec())
         raise ValueError(
             f"need {length} pairs from start {start}, have {len(pairs)} available"
         )
-    channels = []
-    for k in range(length):
-        first, second = pairs[start + k]
-        channels.append(normalize_byte(first))
-        channels.append(normalize_byte(second))
-    return np.stack(channels)
+    stacked = np.asarray(pairs[start : start + length])  # (L, 2, H, W)
+    return normalize_byte(stacked).reshape(2 * length, *stacked.shape[2:])
 
 
 def sample_train_start(pair_count: int, stack_length: int, rng: Rng) -> int:

@@ -6,7 +6,11 @@ self-contained. The terminal summary hook in conftest prints one
 pass/fail line per criterion.
 """
 
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -306,11 +310,10 @@ def test_criterion_9_round_trips(tmp_path):
             assert np.array_equal(a, b)
 
 
-def _run_chain(base, seed):
-    """synth -> flow -> mos -> volume -> train -> predict -> eval via the CLI."""
-    base.mkdir()
+def _chain_steps(base, seed):
+    """synth -> flow -> mos -> volume -> train -> predict -> eval, as CLI argument lists."""
     data = base / "data"
-    steps = [
+    return [
         ["synth", str(data), "--seed", str(seed), "--frame-size", "32",
          "--clips-per-class", "3", "--speeds", "2", "--directions", "right,down"],
         ["flow", str(data), str(base / "flows"), "--manifest", str(data / "manifest.tsv")],
@@ -327,7 +330,11 @@ def _run_chain(base, seed):
         ["eval", "--scores", str(base / "scores.csv"), "--manifest", str(data / "manifest.tsv"),
          "--confusion-csv", str(base / "confusion.csv"), "--confusion-pgm", str(base / "confusion.pgm")],
     ]
-    for argv in steps:
+
+
+def _run_chain(base, seed):
+    base.mkdir()
+    for argv in _chain_steps(base, seed):
         assert cli_main(argv) == 0, argv
 
 
@@ -352,3 +359,25 @@ def test_criterion_10_chained_pipeline_determinism(tmp_path, capsys):
     kinds = {rel.split("/")[0] for rel in a}
     assert {"data", "flows", "mos", "volumes", "model.mosn", "scores.csv",
             "confusion.csv", "confusion.pgm", "loss.csv"} <= kinds
+
+
+@pytest.mark.slow
+def test_criterion_10_chain_identical_across_processes(tmp_path):
+    # Each stage in its own process, under one and under two BLAS threads.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    trees = []
+    for threads in ("1", "2"):
+        base = tmp_path / f"blas_threads_{threads}"
+        base.mkdir()
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+        for argv in _chain_steps(base, seed=11):
+            run = subprocess.run(
+                [sys.executable, "-m", "mostream", *argv], env=env, capture_output=True, text=True, timeout=300
+            )
+            assert run.returncode == 0, (argv, run.stderr)
+        trees.append(_tree_bytes(base))
+    a, b = trees
+    assert a.keys() == b.keys() and "model.mosn" in a
+    for rel in a:
+        assert a[rel] == b[rel], f"artifact differs between 1 and 2 BLAS threads: {rel}"

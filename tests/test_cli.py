@@ -317,6 +317,36 @@ def test_tree_pairs_equal_in_memory_pairs(tiny_dataset, tiny_pairs):
             assert np.array_equal(pa.orientation, pb.orientation)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["flow", "{clip}", "{out}", "--flow-lambda", "nan"],
+        ["mos", "{flows}", "{out}", "--mag-high", "inf"],
+        ["synth", "{out}", "--speeds", "inf"],
+        ["fuse", "{scores}", "{scores}", "--weights", "inf,1", "--output", "{out}"],
+        ["viz", "{flows}/flow_0000.flo", "{out}", "--max-mag", "nan"],
+        ["train", "--manifest", "{manifest}", "--pairs", "{pairs}", "--output", "{out}", "--lr-factor", "nan",
+         "--iterations", "2", "--batch-size", "2", "--input-side", "16"],
+    ],
+    ids=["flow", "mos", "synth", "fuse", "viz", "train"],
+)
+def test_non_finite_setting_rejected(argv, tiny_dataset, tiny_flows, tiny_pairs, tmp_path, capsys):
+    clip = read_manifest(tiny_dataset / "manifest.tsv")[0].path
+    scores = tmp_path / "scores.csv"
+    scores.write_text("video_id,class_0,class_1\nv,0.5,0.5\n")
+    paths = {
+        "clip": tiny_dataset / clip,
+        "flows": tiny_flows / clip,
+        "scores": scores,
+        "manifest": tiny_dataset / "manifest.tsv",
+        "pairs": tiny_pairs,
+        "out": tmp_path / "out",
+    }
+    assert main([arg.format(**paths) for arg in argv]) == 1
+    assert_one_line_error(capsys)
+    assert not (tmp_path / "out").exists()
+
+
 class TestViz:
     def test_flow_to_ppm(self, tiny_dataset, tmp_path):
         clip = tiny_dataset / "right_s2" / "clip_001"
@@ -505,6 +535,26 @@ class TestHostileInputs:
         self._forbid_reading_pairs(monkeypatch)
         assert self._train(tiny_dataset, tiny_pairs, tmp_path, "--dropout", "1.5") == 1
         assert_one_line_error(capsys)
+
+    def test_train_divergence_writes_nothing(self, tiny_dataset, tiny_pairs, tmp_path, capsys, recwarn):
+        loss_csv = tmp_path / "loss.csv"
+        assert self._train(tiny_dataset, tiny_pairs, tmp_path, "--base-lr", "1e6", "--iterations", "20",
+                           "--batch-size", "2", "--input-side", "16", "--loss-csv", str(loss_csv)) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: training diverged at iteration "), err
+        assert not (tmp_path / "model.mosn").exists() and not loss_csv.exists()
+        assert not [str(w.message) for w in recwarn]
+
+    def test_predict_non_finite_checkpoint(self, tiny_dataset, tiny_pairs, tmp_path, monkeypatch, capsys):
+        ckpt = tmp_path / "model.mosn"
+        model = TinyNet(desk_net_config(input_shape=(20, 24, 24), num_classes=2), make_rng(0))
+        model.layers[3].w[0, 0, 0, 0] = np.nan
+        save_checkpoint(model, ckpt)
+        self._forbid_reading_pairs(monkeypatch)
+        assert self._predict(tiny_dataset, tiny_pairs, ckpt, tmp_path) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "layer 3 parameter 'w' holds non-finite values" in err, err
+        assert not (tmp_path / "scores.csv").exists()
 
     def test_train_stack_longer_than_clip(self, tiny_dataset, tiny_pairs, tmp_path, monkeypatch, capsys):
         def no_network(*args, **kwargs):

@@ -82,7 +82,7 @@ class ConstantNet:
         self.config = type("C", (), {"input_shape": input_shape})
         self.samples_seen = 0
 
-    def forward(self, volume, mode="eval", rng=None):
+    def forward(self, volume):
         n = volume.shape[0] if volume.ndim == 4 else 1
         self.samples_seen += n
         return np.tile(self.scores, (n, 1))
@@ -118,7 +118,7 @@ class TestPredict:
     def test_single_sample_crop_equals_frame(self):
         net = ConstantNet([0.9, 0.1], (2, 16, 16))
         pairs = fake_pairs(2, 1)
-        params = PredictParams(stack=StackSpec(1), k_samples=1, crop_fraction=1.0, out_side=16)
+        params = PredictParams(stack=StackSpec(1), k_samples=1, out_side=16)
         pred = predict_from_pairs(net, pairs, params, "vid")
         assert net.samples_seen == 10
         assert pred.scores.sum() == pytest.approx(1.0)

@@ -106,7 +106,7 @@ class TestForward:
     def test_train_mode_needs_rng_for_dropout(self):
         net = TinyNet(small_config(), make_rng(7))
         with pytest.raises(ValueError, match="rng"):
-            net.forward(np.zeros((3, 8, 8)), mode="train")
+            net.forward_with_cache(np.zeros((3, 8, 8)))
 
     def test_final_width_must_match_classes(self):
         with pytest.raises(ValueError, match="expected 4 classes"):

@@ -10,7 +10,6 @@ from mostream.pipeline import (
     load_pair_dataset,
     read_clip_frames,
     read_pair_sequence,
-    zero_magnitude_channels,
 )
 from mostream.raster import make_rng
 from mostream.synth import SyntheticSpec, gen_synthetic
@@ -129,18 +128,3 @@ class TestTrainPipeline:
         a = pipe.make_volume(clip, make_rng(5))
         b = pipe.make_volume(clip, make_rng(5))
         assert np.array_equal(a, b)
-
-    def test_transform_applied(self):
-        pipe = TrainPipeline(stack=StackSpec(4), out_side=16, volume_transform=zero_magnitude_channels)
-        vol = pipe.make_volume(self.make_clip(6), make_rng(7))
-        assert np.all(vol[0::2] == 0.0)
-        assert np.any(vol[1::2] != 0.0)
-
-
-class TestZeroMagnitudeChannels:
-    def test_even_channels_zeroed_odd_kept(self):
-        vol = make_rng(8).normal(size=(6, 3, 3))
-        out = zero_magnitude_channels(vol)
-        assert np.all(out[0::2] == 0.0)
-        assert np.array_equal(out[1::2], vol[1::2])
-        assert np.any(vol[0::2] != 0.0)  # input untouched
