@@ -249,7 +249,7 @@ def read_scores_csv(path):
     if header[0] != "video_id" or len(header) < 2:
         raise FormatError(f"{path}: bad scores header {text[0]!r}")
     k = len(header) - 1
-    ids = []
+    first_line = {}
     rows = []
     for lineno, line in enumerate(text[1:], 2):
         if not line.strip():
@@ -260,9 +260,11 @@ def read_scores_csv(path):
         row = [float(x) for x in parts[1:]]
         if not np.isfinite(row).all():
             raise FormatError(f"{path}:{lineno}: non-finite score in {line!r}")
-        ids.append(parts[0])
+        if parts[0] in first_line:
+            raise FormatError(f"{path}:{lineno}: video {parts[0]!r} repeats line {first_line[parts[0]]}")
+        first_line[parts[0]] = lineno
         rows.append(row)
-    return ids, np.asarray(rows, dtype=np.float64)
+    return list(first_line), np.asarray(rows, dtype=np.float64)
 
 
 def write_loss_csv(path, curve):

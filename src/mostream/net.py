@@ -558,7 +558,12 @@ def load_checkpoint(path) -> tuple[TinyNet, dict]:
         if header["stream"] not in STREAMS:
             raise ValueError(f"{path}: unknown stream kind {header['stream']!r}")
         net = TinyNet(config, make_rng(0))
-        for (i, name, arr), meta in zip(net.parameters(), header["params"]):
+        params = net.parameters()
+        if len(header["params"]) != len(params):
+            raise ValueError(
+                f"{path}: checkpoint lists {len(header['params'])} parameters, the architecture has {len(params)}"
+            )
+        for (i, name, arr), meta in zip(params, header["params"]):
             if [i, name] != [meta["layer"], meta["name"]] or list(arr.shape) != meta["shape"]:
                 raise ValueError("checkpoint parameter table does not match the architecture")
             count = int(np.prod(arr.shape))

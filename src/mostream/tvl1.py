@@ -9,6 +9,9 @@ alternates a point-wise soft-thresholding step on the linearized data term
 with dual-projection iterations that solve the total-variation denoising
 subproblem, re-warping the second image between passes.
 
+The solver holds each quantity as one stacked ``(2, H, W)`` array: the
+image pair (first, second), the flow and its duals (x, then y).
+
 ``block_match_flow`` is a deliberately simple exhaustive-search SAD matcher
 used as an independent test oracle for the variational solver; the two share
 no code beyond the raster primitives.
@@ -59,63 +62,71 @@ class Tvl1Params:
 
 
 def _central_gradient(img):
-    gx = np.empty_like(img)
-    gy = np.empty_like(img)
-    gx[:, 1:-1] = 0.5 * (img[:, 2:] - img[:, :-2])
-    gx[:, 0] = 0.5 * (img[:, 1] - img[:, 0])
-    gx[:, -1] = 0.5 * (img[:, -1] - img[:, -2])
-    gy[1:-1, :] = 0.5 * (img[2:, :] - img[:-2, :])
-    gy[0, :] = 0.5 * (img[1, :] - img[0, :])
-    gy[-1, :] = 0.5 * (img[-1, :] - img[-2, :])
-    return gx, gy
+    # (d/dx, d/dy) stacked; one-sided half-differences at the border.
+    g = np.empty((2,) + img.shape)
+    g[0, :, 1:-1] = 0.5 * (img[:, 2:] - img[:, :-2])
+    g[0, :, 0] = 0.5 * (img[:, 1] - img[:, 0])
+    g[0, :, -1] = 0.5 * (img[:, -1] - img[:, -2])
+    g[1, 1:-1, :] = 0.5 * (img[2:, :] - img[:-2, :])
+    g[1, 0, :] = 0.5 * (img[1, :] - img[0, :])
+    g[1, -1, :] = 0.5 * (img[-1, :] - img[-2, :])
+    return g
 
 
 def _forward_gradient(f):
-    # Forward differences with Neumann (zero) boundary on the last row/col.
+    # Forward differences over the last two axes, with Neumann (zero)
+    # boundary on the last row/col.
     fx = np.zeros_like(f)
     fy = np.zeros_like(f)
-    fx[:, :-1] = f[:, 1:] - f[:, :-1]
-    fy[:-1, :] = f[1:, :] - f[:-1, :]
+    fx[..., :-1] = f[..., 1:] - f[..., :-1]
+    fy[..., :-1, :] = f[..., 1:, :] - f[..., :-1, :]
     return fx, fy
 
 
 def _divergence(p1, p2):
     # Adjoint of _forward_gradient.
     div = np.zeros_like(p1)
-    div[:, 0] += p1[:, 0]
-    div[:, 1:] += p1[:, 1:] - p1[:, :-1]
-    div[0, :] += p2[0, :]
-    div[1:, :] += p2[1:, :] - p2[:-1, :]
+    div[..., 0] += p1[..., 0]
+    div[..., 1:] += p1[..., 1:] - p1[..., :-1]
+    div[..., 0, :] += p2[..., 0, :]
+    div[..., 1:, :] += p2[..., 1:, :] - p2[..., :-1, :]
     return div
+
+
+def _pixel_grid(h, w):
+    # (x, y) coordinates of every pixel, stacked like a flow.
+    return np.array(np.meshgrid(np.arange(w, dtype=np.float64), np.arange(h, dtype=np.float64)))
+
+
+def _energy(pair, grid, flow, lam):
+    warped = bilinear_map(pair[1], *(grid + flow))
+    data = lam * np.abs(warped - pair[0]).sum()
+    fx, fy = _forward_gradient(flow)
+    tv = np.sqrt(fx * fx + fy * fy)
+    return float(data + (tv[0].sum() + tv[1].sum()))
 
 
 def tvl1_energy(prev: GrayImage, nxt: GrayImage, flow: FlowField, lam: float) -> float:
     """Nonlinear TV-L1 energy of a flow field for an image pair."""
-    h, w = prev.shape
-    xs, ys = np.meshgrid(np.arange(w, dtype=np.float64), np.arange(h, dtype=np.float64))
-    warped = bilinear_map(nxt, xs + flow.u, ys + flow.v)
-    data = lam * np.abs(warped - prev).sum()
-    ux, uy = _forward_gradient(flow.u)
-    vx, vy = _forward_gradient(flow.v)
-    tv = np.sqrt(ux * ux + uy * uy).sum() + np.sqrt(vx * vx + vy * vy).sum()
-    return float(data + tv)
+    pair = np.array([prev, nxt], dtype=np.float64)
+    return _energy(pair, _pixel_grid(*pair.shape[1:]), np.array([flow.u, flow.v]), lam)
 
 
 def _normalize_pair(prev, nxt):
     # Joint affine map of both images onto [0, 255]; the solver's default
     # weights are tuned for byte-scale intensities. Constant pairs map to
     # zero, which in turn yields exactly zero flow.
-    lo = min(prev.min(), nxt.min())
-    hi = max(prev.max(), nxt.max())
+    pair = np.array([prev, nxt])
+    lo = pair.min()
+    hi = pair.max()
     if hi - lo <= 0:
-        return np.zeros_like(prev), np.zeros_like(nxt)
-    scale = 255.0 / (hi - lo)
-    return (prev - lo) * scale, (nxt - lo) * scale
+        return np.zeros_like(pair)
+    return (pair - lo) * (255.0 / (hi - lo))
 
 
-def _downscale(img, scale, size):
+def _downscale(pair, scale, size):
     sigma = 0.6 * np.sqrt(1.0 / scale**2 - 1.0)
-    return resize_bilinear(gaussian_filter(img, sigma, mode="nearest"), *size)
+    return resize_bilinear(gaussian_filter(pair, (0.0, sigma, sigma), mode="nearest"), *size)
 
 
 def _pyramid_sizes(h, w, params):
@@ -130,36 +141,31 @@ def _pyramid_sizes(h, w, params):
     return sizes
 
 
-def _solve_level(i0, i1, u, v, params, track_energy):
-    h, w = i0.shape
-    xs, ys = np.meshgrid(np.arange(w, dtype=np.float64), np.arange(h, dtype=np.float64))
-    i1x, i1y = _central_gradient(i1)
+def _solve_level(pair, flow, params):
+    # Returns the refined flow and the accepted energy after each warp.
+    grid = _pixel_grid(*flow.shape[1:])
+    i0, i1 = pair
+    grad = _central_gradient(i1)
 
     lt = params.lam * params.tv_theta
     taut = params.tau / params.tv_theta
-    p11 = np.zeros_like(i0)
-    p12 = np.zeros_like(i0)
-    p21 = np.zeros_like(i0)
-    p22 = np.zeros_like(i0)
+    p1 = np.zeros_like(flow)
+    p2 = np.zeros_like(flow)
     energies = []
-    accepted = tvl1_energy(i0, i1, FlowField(u, v), params.lam)
+    accepted = _energy(pair, grid, flow, params.lam)
 
     for _ in range(params.warps_per_level):
-        u_in = u
-        v_in = v
-        wx = xs + u
-        wy = ys + v
-        i1w = bilinear_map(i1, wx, wy)
-        i1wx = bilinear_map(i1x, wx, wy)
-        i1wy = bilinear_map(i1y, wx, wy)
-        grad_sq = i1wx * i1wx + i1wy * i1wy
+        flow_in = flow
+        at = grid + flow
+        i1w = bilinear_map(i1, *at)
+        g = np.array([bilinear_map(c, *at) for c in grad])
+        grad_sq = g[0] * g[0] + g[1] * g[1]
         # Constant part of the residual linearized at the warp point.
-        rho_c = i1w - i1wx * u - i1wy * v - i0
+        rho_c = i1w - g[0] * flow[0] - g[1] * flow[1] - i0
 
         for _ in range(params.inner_iterations):
-            u_prev = u
-            v_prev = v
-            rho = rho_c + i1wx * u + i1wy * v
+            last = flow
+            rho = rho_c + g[0] * flow[0] + g[1] * flow[1]
             # Point-wise minimizer of lam*theta*|rho(v)| + 0.5*|v - u|^2:
             # clamp the Gauss-Newton step to +-lam*theta*|grad|.
             step = np.where(
@@ -167,38 +173,28 @@ def _solve_level(i0, i1, u, v, params, track_energy):
                 lt,
                 np.where(rho > lt * grad_sq, -lt, -rho / np.maximum(grad_sq, _GRAD_FLOOR)),
             )
-            aux_u = u + step * i1wx
-            aux_v = v + step * i1wy
+            flow = flow + step * g + params.tv_theta * _divergence(p1, p2)
 
-            u = aux_u + params.tv_theta * _divergence(p11, p12)
-            v = aux_v + params.tv_theta * _divergence(p21, p22)
+            fx, fy = _forward_gradient(flow)
+            norm = 1.0 + taut * np.sqrt(fx * fx + fy * fy)
+            p1 = (p1 + taut * fx) / norm
+            p2 = (p2 + taut * fy) / norm
 
-            ux, uy = _forward_gradient(u)
-            vx, vy = _forward_gradient(v)
-            n1 = 1.0 + taut * np.sqrt(ux * ux + uy * uy)
-            n2 = 1.0 + taut * np.sqrt(vx * vx + vy * vy)
-            p11 = (p11 + taut * ux) / n1
-            p12 = (p12 + taut * uy) / n1
-            p21 = (p21 + taut * vx) / n2
-            p22 = (p22 + taut * vy) / n2
-
-            update = np.mean((u - u_prev) ** 2 + (v - v_prev) ** 2)
-            if update < params.stop_epsilon**2:
+            d = (flow - last) ** 2
+            if np.mean(d[0] + d[1]) < params.stop_epsilon**2:
                 break
 
         # Monotone acceptance: the relinearized subproblem can raise the
         # true nonlinear energy; keep the previous flow when it does (dual
         # state carries on, so later warps can still make progress).
-        candidate = tvl1_energy(i0, i1, FlowField(u, v), params.lam)
+        candidate = _energy(pair, grid, flow, params.lam)
         if candidate > accepted:
-            u = u_in
-            v = v_in
+            flow = flow_in
         else:
             accepted = candidate
-        if track_energy:
-            energies.append(accepted)
+        energies.append(accepted)
 
-    return u, v, energies
+    return flow, energies
 
 
 def tvl1_flow(
@@ -219,30 +215,25 @@ def tvl1_flow(
     h, w = prev.shape
     if min(h, w) < MIN_LEVEL_SIDE:
         raise ValueError(f"frames must be at least {MIN_LEVEL_SIDE}x{MIN_LEVEL_SIDE}, got {w}x{h}")
+    if not (np.isfinite(prev).all() and np.isfinite(nxt).all()):
+        raise ValueError("frames contain non-finite values")
 
-    i0, i1 = _normalize_pair(prev, nxt)
     sizes = _pyramid_sizes(h, w, params)
-    pyr0 = [i0]
-    pyr1 = [i1]
+    pyramid = [_normalize_pair(prev, nxt)]
     for size in sizes[1:]:
-        pyr0.append(_downscale(pyr0[-1], params.pyramid_scale, size))
-        pyr1.append(_downscale(pyr1[-1], params.pyramid_scale, size))
+        pyramid.append(_downscale(pyramid[-1], params.pyramid_scale, size))
 
-    ch, cw = sizes[-1]
-    u = np.zeros((ch, cw))
-    v = np.zeros((ch, cw))
-    energies = []
-    for level in range(len(sizes) - 1, -1, -1):
-        lh, lw = sizes[level]
-        if u.shape != (lh, lw):
+    flow = np.zeros((2,) + sizes[-1])
+    for pair in reversed(pyramid):
+        lh, lw = pair.shape[1:]
+        ch, cw = flow.shape[1:]
+        if (ch, cw) != (lh, lw):
             # Upscale the coarse flow; displacement values grow with the
             # actual per-axis size ratio (nominally 1/pyramid_scale).
-            u = resize_bilinear(u, lh, lw) * (lw / u.shape[1])
-            v = resize_bilinear(v, lh, lw) * (lh / v.shape[0])
-        track = return_energies and level == 0
-        u, v, energies = _solve_level(pyr0[level], pyr1[level], u, v, params, track)
+            flow = resize_bilinear(flow, lh, lw) * np.array([lw / cw, lh / ch])[:, None, None]
+        flow, energies = _solve_level(pair, flow, params)
 
-    flow = FlowField(u, v)
+    flow = FlowField(flow[0], flow[1])
     if return_energies:
         return flow, energies
     return flow

@@ -59,7 +59,7 @@ def sample_train_start(pair_count: int, stack_length: int, rng: Rng) -> int:
     return rng_uniform(rng, pair_count - stack_length + 1)
 
 
-def sample_test_starts(pair_count: int, stack_length: int, k: int = 25) -> list[int]:
+def sample_test_starts(pair_count: int, stack_length: int, k: int) -> list[int]:
     """k uniformly spaced stack starts covering [0, pair_count - stack_length].
 
     Spacing rounds half-up to the nearest integer; short videos repeat

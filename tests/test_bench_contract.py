@@ -92,3 +92,11 @@ def test_volumes_reach_the_traced_stack_and_crop_sites(workloads, monkeypatch):
         "mostream.fusion.stack_volume": cfg.test_samples,
         "mostream.fusion.apply_crop": 10 * cfg.test_samples,
     }
+
+
+def test_flow_workload_checks_pass_on_one_clip(workloads, tmp_path):
+    clips = workloads.make_clips(workloads.desk_config(0), tmp_path)
+    clips.entries = clips.entries[:1]
+    result = workloads.FlowWorkload().run_pass(clips)
+    assert result.attempted == 1
+    assert result.problems == []

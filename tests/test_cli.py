@@ -429,6 +429,21 @@ class TestHostileInputs:
         assert main(["eval", "--scores", str(scores), "--manifest", str(manifest)]) == 1
         assert_one_line_error(capsys)
 
+    @pytest.mark.parametrize("command", ["eval", "fuse"])
+    def test_scores_repeating_a_video(self, tmp_path, capsys, command):
+        manifest = tmp_path / "manifest.tsv"
+        manifest.write_text("a/c0\tx\t0\ttest\na/c1\ty\t1\ttest\n")
+        scores = tmp_path / "scores.csv"
+        scores.write_text("video_id,class_0,class_1\na/c0,0.9,0.1\na/c1,0.2,0.8\na/c0,0.3,0.7\n")
+        out = tmp_path / "fused.csv"
+        argv = {
+            "eval": ["eval", "--scores", str(scores), "--manifest", str(manifest)],
+            "fuse": ["fuse", str(scores), "--output", str(out)],
+        }[command]
+        assert main(argv) == 1
+        assert_one_line_error(capsys)
+        assert not out.exists()
+
     @staticmethod
     def _forbid_reading_pairs(monkeypatch):
         def no_pair_reading(*args, **kwargs):

@@ -202,6 +202,12 @@ class TestCsv:
         with pytest.raises(FormatError, match=":3:"):
             read_scores_csv(path)
 
+    def test_scores_rejects_repeated_video(self, tmp_path):
+        path = tmp_path / "scores.csv"
+        path.write_text("video_id,class_0,class_1\nv0,0.5,0.5\nv1,0.2,0.8\nv0,0.1,0.9\n")
+        with pytest.raises(FormatError, match=r":4: video 'v0' repeats line 2"):
+            read_scores_csv(path)
+
     def test_loss_csv(self, tmp_path):
         path = tmp_path / "loss.csv"
         write_loss_csv(path, [(0, 0.005, 2.0794), (1, 0.005, 1.5)])

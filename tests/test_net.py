@@ -323,6 +323,25 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match=key):
             load_checkpoint(path)
 
+    def test_short_parameter_table_rejected(self, tmp_path):
+        import json
+        import struct
+
+        net = TinyNet(desk_net_config(input_shape=(20, 24, 24)), make_rng(5))
+        assert len(net.config.layers) == 10
+        path = tmp_path / "model.mosn"
+        save_checkpoint(net, path)
+        data = path.read_bytes()
+        (blob_len,) = struct.unpack_from("<I", data, 5)
+        header = json.loads(data[9 : 9 + blob_len])
+        dropped = header["params"].pop()
+        assert (dropped["layer"], dropped["name"]) == (9, "w")
+        blob = json.dumps(header).encode()
+        payload = data[9 + blob_len : len(data) - 8 * int(np.prod(dropped["shape"]))]
+        path.write_bytes(data[:5] + struct.pack("<I", len(blob)) + blob + payload)
+        with pytest.raises(ValueError, match="lists 7 parameters, the architecture has 8"):
+            load_checkpoint(path)
+
     def test_unknown_stream_rejected(self, tmp_path):
         path = tmp_path / "model.mosn"
         save_checkpoint(TinyNet(small_config(), make_rng(36)), path, stream="rgb")

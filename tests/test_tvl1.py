@@ -2,8 +2,16 @@ import numpy as np
 import pytest
 
 from conftest import interior_mask, shift_image, smooth_texture
-from mostream.raster import FlowField
-from mostream.tvl1 import Tvl1Params, block_match_flow, tvl1_energy, tvl1_flow, video_flows
+from mostream.raster import FlowField, make_rng
+from mostream.tvl1 import (
+    Tvl1Params,
+    _divergence,
+    _forward_gradient,
+    block_match_flow,
+    tvl1_energy,
+    tvl1_flow,
+    video_flows,
+)
 
 
 def epe(flow, dx, dy, mask):
@@ -92,10 +100,38 @@ class TestTvl1Flow:
         with pytest.raises(ValueError, match="at least"):
             tvl1_flow(np.zeros((8, 8)), np.zeros((8, 8)))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_frame_rejected(self, value):
+        tex = smooth_texture(12, 32, 32)
+        bad = tex.copy()
+        bad[3, 4] = value
+        with pytest.raises(ValueError, match="non-finite"):
+            tvl1_flow(tex, bad)
+
     def test_energy_function_zero_for_perfect_static(self):
         tex = smooth_texture(5, 32, 32)
         e = tvl1_energy(tex, tex, FlowField(np.zeros((32, 32)), np.zeros((32, 32))), 0.15)
         assert e == 0.0
+
+
+class TestStackedStencils:
+    def test_stack_equals_each_slice(self):
+        f, p1, p2 = make_rng(40).normal(size=(3, 2, 9, 7))
+        fx, fy = _forward_gradient(f)
+        div = _divergence(p1, p2)
+        for c in range(2):
+            sx, sy = _forward_gradient(f[c])
+            assert np.array_equal(fx[c], sx) and np.array_equal(fy[c], sy)
+            assert np.array_equal(div[c], _divergence(p1[c], p2[c]))
+
+    def test_divergence_is_negative_adjoint(self):
+        # The solver's duals keep a zero last column (p1) and last row (p2),
+        # because the forward differences they accumulate are zero there.
+        f, p1, p2 = make_rng(41).normal(size=(3, 2, 9, 7))
+        p1[..., -1] = 0.0
+        p2[..., -1, :] = 0.0
+        fx, fy = _forward_gradient(f)
+        assert np.isclose((fx * p1 + fy * p2).sum(), -(f * _divergence(p1, p2)).sum(), rtol=1e-12, atol=0.0)
 
 
 class TestBlockMatch:

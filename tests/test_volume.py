@@ -116,7 +116,7 @@ class TestSampleTestStarts:
 
     def test_too_few_pairs(self):
         with pytest.raises(ValueError):
-            sample_test_starts(5, 10)
+            sample_test_starts(5, 10, 25)
 
     def test_bad_k(self):
         with pytest.raises(ValueError):
