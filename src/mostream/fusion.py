@@ -2,7 +2,9 @@
 
 A video's prediction starts from its byte pairs and averages eval-mode
 scores over k temporal samples times the ten-crop set (4 corners + center,
-plus mirrors). Streams fuse by a weighted sum of their per-class
+plus mirrors). A short video repeats sample starts; a repeated start is
+forwarded once and its scores count once per sample, so the k x 10 average
+is unchanged. Streams fuse by a weighted sum of their per-class
 probability vectors, renormalized.
 """
 
@@ -81,15 +83,18 @@ def predict_from_pairs(net, pairs, params: PredictParams, video_id: str = "") ->
     crops = ten_crops(w, h, crop_side, crop_side, params.out_side)
     starts = sample_test_starts(len(pairs), length, params.k_samples)
 
-    total = None
-    count = 0
-    for start in starts:
+    # Each distinct start is forwarded once, as its own ten-crop batch; the
+    # crop sums are then added in the order of `starts`, so the average is
+    # bit for bit the one of forwarding every sample.
+    crop_sums = {}
+    for start in dict.fromkeys(starts):
         vol = stack_volume(pairs, start, params.stack)
         batch = np.stack([apply_crop(vol, c) for c in crops])
-        probs = net.forward(batch)
-        total = probs.sum(axis=0) if total is None else total + probs.sum(axis=0)
-        count += probs.shape[0]
-    scores = total / count
+        crop_sums[start] = net.forward(batch).sum(axis=0)
+    total = crop_sums[starts[0]]
+    for start in starts[1:]:
+        total = total + crop_sums[start]
+    scores = total / (len(starts) * len(crops))
     scores = scores / scores.sum()
     return VideoPrediction(video_id, scores, argmax_class(scores))
 

@@ -13,6 +13,7 @@ gets a fresh random stack start and multi-scale crop.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import asdict, dataclass, fields
 from typing import Callable, Sequence, Union
@@ -39,6 +40,10 @@ class ConvSpec:
     stride: int = 1
     pad: int = 1
 
+    def __post_init__(self):
+        if min(self.out_channels, self.kernel, self.stride) < 1 or self.pad < 0:
+            raise ValueError(f"convolution needs positive channels, kernel and stride and pad >= 0, got {self}")
+
 
 @dataclass(frozen=True)
 class ReluSpec:
@@ -53,6 +58,10 @@ class PoolSpec:
 @dataclass(frozen=True)
 class FcSpec:
     width: int
+
+    def __post_init__(self):
+        if self.width < 1:
+            raise ValueError(f"fully connected width must be >= 1, got {self.width}")
 
 
 @dataclass(frozen=True)
@@ -174,19 +183,43 @@ def _col2im(dflat, x_shape, k, stride, pad):
     return dx
 
 
-class _Conv:
-    def __init__(self, spec, in_shape, rng):
+def _layer_shapes(spec, in_shape):
+    """Output shape of one layer on an input of `in_shape`, and the shape of
+    each of its parameters by name, found without allocating anything."""
+    if isinstance(spec, ConvSpec):
         c, h, w = in_shape
         k = spec.kernel
         if h + 2 * spec.pad < k or w + 2 * spec.pad < k:
             raise ValueError(f"conv kernel {k} larger than padded input {in_shape}")
-        fan_in = c * k * k
-        self.spec = spec
-        self.w = rng.normal(0.0, np.sqrt(2.0 / fan_in), (spec.out_channels, c, k, k))
-        self.b = np.zeros(spec.out_channels)
         out_h = (h + 2 * spec.pad - k) // spec.stride + 1
         out_w = (w + 2 * spec.pad - k) // spec.stride + 1
-        self.out_shape = (spec.out_channels, out_h, out_w)
+        return (spec.out_channels, out_h, out_w), {"w": (spec.out_channels, c, k, k), "b": (spec.out_channels,)}
+    if isinstance(spec, PoolSpec):
+        c, h, w = in_shape
+        if h < 2 or w < 2:
+            raise ValueError(f"max-pool input too small: {in_shape}")
+        return (c, h // 2, w // 2), {}
+    if isinstance(spec, FcSpec):
+        return (spec.width,), {"w": (spec.width, math.prod(in_shape)), "b": (spec.width,)}
+    return in_shape, {}
+
+
+def _he_normal(shape, rng):
+    # He initialization; the fan-in is everything but the output axis.
+    return rng.normal(0.0, np.sqrt(2.0 / math.prod(shape[1:])), shape)
+
+
+# Each layer's backward(dout, cache, need_dx=True) returns (dx, parameter
+# gradients); with need_dx=False it builds no input gradient and returns
+# None for dx, which TinyNet.backward asks of its first layer.
+
+
+class _Conv:
+    def __init__(self, spec, in_shape, rng):
+        self.out_shape, shapes = _layer_shapes(spec, in_shape)
+        self.spec = spec
+        self.w = _he_normal(shapes["w"], rng)
+        self.b = np.zeros(shapes["b"])
 
     def params(self):
         return {"w": self.w, "b": self.b}
@@ -205,7 +238,7 @@ class _Conv:
         )
         return y, (flat, x.shape)
 
-    def backward(self, dout, cache):
+    def backward(self, dout, cache, need_dx=True):
         flat, x_shape = cache
         spec = self.spec
         n, o, out_h, out_w = dout.shape
@@ -214,9 +247,11 @@ class _Conv:
         d2 = np.ascontiguousarray(dout.transpose(0, 2, 3, 1)).reshape(-1, o)
         dw = np.ascontiguousarray((d2.T @ flat).reshape(o, k, k, c).transpose(0, 3, 1, 2))
         db = d2.sum(axis=0)
+        grads = {"w": dw, "b": db}
+        if not need_dx:
+            return None, grads
         dflat = d2 @ self._w2()
-        dx = _col2im(dflat, x_shape, spec.kernel, spec.stride, spec.pad)
-        return dx, {"w": dw, "b": db}
+        return _col2im(dflat, x_shape, spec.kernel, spec.stride, spec.pad), grads
 
 
 class _Relu:
@@ -229,17 +264,15 @@ class _Relu:
     def forward(self, x, train, rng):
         return np.maximum(x, 0.0), x > 0
 
-    def backward(self, dout, cache):
-        return dout * cache, {}
+    def backward(self, dout, cache, need_dx=True):
+        return (dout * cache if need_dx else None), {}
 
 
 class _Pool:
     def __init__(self, in_shape):
-        c, h, w = in_shape
-        if h < 2 or w < 2:
-            raise ValueError(f"max-pool input too small: {in_shape}")
-        self.crop = (h // 2 * 2, w // 2 * 2)
-        self.out_shape = (c, h // 2, w // 2)
+        self.out_shape, _ = _layer_shapes(PoolSpec(), in_shape)
+        _, out_h, out_w = self.out_shape
+        self.crop = (2 * out_h, 2 * out_w)
 
     def params(self):
         return {}
@@ -253,7 +286,9 @@ class _Pool:
         y = np.take_along_axis(xv, idx[..., None], axis=-1)[..., 0]
         return y, (idx, x.shape)
 
-    def backward(self, dout, cache):
+    def backward(self, dout, cache, need_dx=True):
+        if not need_dx:
+            return None, {}
         idx, x_shape = cache
         n, c, h, w = x_shape
         ch, cw = self.crop
@@ -267,11 +302,10 @@ class _Pool:
 
 class _Fc:
     def __init__(self, spec, in_shape, rng):
-        fan_in = int(np.prod(in_shape))
+        self.out_shape, shapes = _layer_shapes(spec, in_shape)
         self.in_shape = in_shape
-        self.w = rng.normal(0.0, np.sqrt(2.0 / fan_in), (spec.width, fan_in))
-        self.b = np.zeros(spec.width)
-        self.out_shape = (spec.width,)
+        self.w = _he_normal(shapes["w"], rng)
+        self.b = np.zeros(shapes["b"])
 
     def params(self):
         return {"w": self.w, "b": self.b}
@@ -280,10 +314,10 @@ class _Fc:
         flat = x.reshape(x.shape[0], -1)
         return flat @ self.w.T + self.b, flat
 
-    def backward(self, dout, cache):
+    def backward(self, dout, cache, need_dx=True):
         dw = dout.T @ cache
         db = dout.sum(axis=0)
-        dx = (dout @ self.w).reshape((dout.shape[0],) + self.in_shape)
+        dx = (dout @ self.w).reshape((dout.shape[0],) + self.in_shape) if need_dx else None
         return dx, {"w": dw, "b": db}
 
 
@@ -304,7 +338,9 @@ class _Dropout:
         mask = (rng.random(x.shape) < keep) / keep
         return x * mask, mask
 
-    def backward(self, dout, cache):
+    def backward(self, dout, cache, need_dx=True):
+        if not need_dx:
+            return None, {}
         if cache is None:
             return dout, {}
         return dout * cache, {}
@@ -316,6 +352,25 @@ def _softmax(logits):
     return e / e.sum(axis=1, keepdims=True)
 
 
+def _architecture(config: NetConfig):
+    """(input shape, {parameter name: shape}) of every layer of `config`,
+    checked layer by layer without allocating anything."""
+    out = []
+    shape = tuple(config.input_shape)
+    for i, spec in enumerate(config.layers):
+        if not isinstance(spec, (ConvSpec, ReluSpec, PoolSpec, FcSpec, DropoutSpec)):
+            raise ValueError(f"layer {i}: unknown spec {spec!r}")
+        if isinstance(spec, (ConvSpec, PoolSpec)) and len(shape) != 3:
+            kind = "convolution" if isinstance(spec, ConvSpec) else "max-pool"
+            raise ValueError(f"layer {i}: {kind} needs a (C, H, W) input, got {shape}")
+        out_shape, params = _layer_shapes(spec, shape)
+        out.append((shape, params))
+        shape = out_shape
+    if math.prod(shape) != config.num_classes:
+        raise ValueError(f"final layer produces {math.prod(shape)} values, expected {config.num_classes} classes")
+    return out
+
+
 class TinyNet:
     """Feed-forward classifier built from a NetConfig; outputs class
     probabilities. Immutable after training apart from sgd_step updates."""
@@ -323,30 +378,18 @@ class TinyNet:
     def __init__(self, config: NetConfig, rng: Rng):
         self.config = config
         self.layers = []
-        shape = tuple(config.input_shape)
-        for i, spec in enumerate(config.layers):
+        for spec, (in_shape, _) in zip(config.layers, _architecture(config)):
             if isinstance(spec, ConvSpec):
-                if len(shape) != 3:
-                    raise ValueError(f"layer {i}: convolution needs a (C, H, W) input, got {shape}")
-                layer = _Conv(spec, shape, rng)
+                layer = _Conv(spec, in_shape, rng)
             elif isinstance(spec, ReluSpec):
-                layer = _Relu(shape)
+                layer = _Relu(in_shape)
             elif isinstance(spec, PoolSpec):
-                if len(shape) != 3:
-                    raise ValueError(f"layer {i}: max-pool needs a (C, H, W) input, got {shape}")
-                layer = _Pool(shape)
+                layer = _Pool(in_shape)
             elif isinstance(spec, FcSpec):
-                layer = _Fc(spec, shape, rng)
-            elif isinstance(spec, DropoutSpec):
-                layer = _Dropout(spec, shape)
+                layer = _Fc(spec, in_shape, rng)
             else:
-                raise ValueError(f"layer {i}: unknown spec {spec!r}")
+                layer = _Dropout(spec, in_shape)
             self.layers.append(layer)
-            shape = layer.out_shape
-        if int(np.prod(shape)) != config.num_classes:
-            raise ValueError(
-                f"final layer produces {int(np.prod(shape))} values, expected {config.num_classes} classes"
-            )
 
     def _as_batch(self, volume):
         x = np.asarray(volume, dtype=np.float64)
@@ -383,7 +426,9 @@ class TinyNet:
 
         `cache` comes from forward_with_cache; `targets` is a class index
         or an array of them (one per batch row). Returns one dict per
-        layer, aligned with self.layers.
+        layer, aligned with self.layers. The first layer is asked for no
+        input gradient (need_dx=False), so its backward stops at its
+        parameter gradients.
         """
         if cache is None:
             raise ValueError("backward requires the cache from a train-mode forward")
@@ -400,8 +445,7 @@ class TinyNet:
         dx = dlogits.reshape(cache["logits_shape"])
         grads = [None] * len(self.layers)
         for i in range(len(self.layers) - 1, -1, -1):
-            dx, g = self.layers[i].backward(dx, cache["layers"][i])
-            grads[i] = g
+            dx, grads[i] = self.layers[i].backward(dx, cache["layers"][i], need_dx=i > 0)
         return grads
 
     def loss_and_grads(self, volume, targets, rng: Rng = None):
@@ -557,23 +601,32 @@ def load_checkpoint(path) -> tuple[TinyNet, dict]:
         )
         if header["stream"] not in STREAMS:
             raise ValueError(f"{path}: unknown stream kind {header['stream']!r}")
-        net = TinyNet(config, make_rng(0))
-        params = net.parameters()
-        if len(header["params"]) != len(params):
+        # The table and the payload size are checked against the shapes the
+        # architecture implies before any parameter array is allocated.
+        table = [
+            [i, name, list(shape)]
+            for i, (_, shapes) in enumerate(_architecture(config))
+            for name, shape in sorted(shapes.items())
+        ]
+        if len(header["params"]) != len(table):
             raise ValueError(
-                f"{path}: checkpoint lists {len(header['params'])} parameters, the architecture has {len(params)}"
+                f"{path}: checkpoint lists {len(header['params'])} parameters, the architecture has {len(table)}"
             )
-        for (i, name, arr), meta in zip(params, header["params"]):
-            if [i, name] != [meta["layer"], meta["name"]] or list(arr.shape) != meta["shape"]:
+        for row, meta in zip(table, header["params"]):
+            if row != [meta["layer"], meta["name"], meta["shape"]]:
                 raise ValueError("checkpoint parameter table does not match the architecture")
-            count = int(np.prod(arr.shape))
-            vals = np.frombuffer(data, dtype="<f8", count=count, offset=offset)
+        payload = 8 * sum(math.prod(shape) for _, _, shape in table)
+        if len(data) - offset < payload:
+            raise ValueError(f"{path}: truncated checkpoint payload, {len(data) - offset} of {payload} bytes")
+        if len(data) - offset > payload:
+            raise ValueError(f"checkpoint has {len(data) - offset - payload} trailing bytes")
+        net = TinyNet(config, make_rng(0))
+        for i, name, arr in net.parameters():
+            vals = np.frombuffer(data, dtype="<f8", count=arr.size, offset=offset)
             if not np.isfinite(vals).all():
                 raise ValueError(f"{path}: layer {i} parameter {name!r} holds non-finite values")
             arr[...] = vals.reshape(arr.shape)
-            offset += count * 8
+            offset += arr.size * 8
     except (KeyError, TypeError) as exc:
         raise ValueError(f"{path}: malformed checkpoint header ({type(exc).__name__}: {exc})") from None
-    if offset != len(data):
-        raise ValueError(f"checkpoint has {len(data) - offset} trailing bytes")
     return net, header

@@ -19,7 +19,7 @@ import pytest
 from mostream import fusion, net, pipeline
 from mostream.mos import MosPair
 from mostream.raster import make_rng
-from mostream.volume import StackSpec
+from mostream.volume import StackSpec, sample_test_starts
 
 WORKLOADS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
@@ -88,9 +88,13 @@ def test_volumes_reach_the_traced_stack_and_crop_sites(workloads, monkeypatch):
     input_shape = (2 * cfg.stack_length, cfg.input_side, cfg.input_side)
     model = net.TinyNet(net.desk_net_config(input_shape=input_shape), make_rng(1))
     fusion.predict_from_pairs(model, pairs, params, "clip")
+    # A repeated test start is stacked and cropped once: two distinct starts
+    # at the classify shapes.
+    distinct = len(set(sample_test_starts(len(pairs), cfg.stack_length, cfg.test_samples)))
+    assert distinct == 2
     assert calls == {
-        "mostream.fusion.stack_volume": cfg.test_samples,
-        "mostream.fusion.apply_crop": 10 * cfg.test_samples,
+        "mostream.fusion.stack_volume": distinct,
+        "mostream.fusion.apply_crop": 10 * distinct,
     }
 
 

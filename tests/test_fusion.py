@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from mostream.augment import apply_crop, ten_crops
 from mostream.fusion import (
+    DEFAULT_TEST_CROP_FRACTION,
     PredictParams,
     argmax_class,
     confusion_heat_image,
@@ -12,9 +14,9 @@ from mostream.fusion import (
     VideoPrediction,
 )
 from mostream.mos import MosPair
-from mostream.net import FcSpec, NetConfig, TinyNet
+from mostream.net import FcSpec, NetConfig, TinyNet, desk_net_config
 from mostream.raster import make_rng
-from mostream.volume import StackSpec
+from mostream.volume import StackSpec, sample_test_starts, stack_volume
 
 
 class TestFuse:
@@ -137,6 +139,48 @@ class TestPredict:
         second = predict_from_pairs(model, pairs, params, "v")
         assert np.array_equal(first.scores, second.scores)
         assert first.predicted == second.predicted
+
+
+def reference_scores(net, pairs, params):
+    """The protocol as written: one ten-crop forward per temporal sample."""
+    h, w = pairs[0][0].shape
+    crop_side = int(np.floor(DEFAULT_TEST_CROP_FRACTION * min(h, w) + 0.5))
+    crops = ten_crops(w, h, crop_side, crop_side, params.out_side)
+    total = None
+    count = 0
+    for start in sample_test_starts(len(pairs), params.stack.stack_length, params.k_samples):
+        vol = stack_volume(pairs, start, params.stack)
+        probs = net.forward(np.stack([apply_crop(vol, c) for c in crops]))
+        total = probs.sum(axis=0) if total is None else total + probs.sum(axis=0)
+        count += probs.shape[0]
+    scores = total / count
+    return scores / scores.sum()
+
+
+class TestRepeatedStarts:
+    @pytest.mark.parametrize(
+        "pair_count, stack_length, k, distinct",
+        [(1, 1, 1, 1), (11, 10, 1, 1), (11, 10, 25, 2), (40, 10, 25, 25), (12, 10, 40, 3), (13, 2, 25, 12)],
+        ids=["one_pair", "k1", "desk", "all_distinct", "k_over_distinct", "some_repeats"],
+    )
+    def test_one_forward_per_distinct_start_same_bits(self, monkeypatch, pair_count, stack_length, k, distinct):
+        pairs = fake_pairs(60 + pair_count, pair_count)
+        params = PredictParams(stack=StackSpec(stack_length), k_samples=k, out_side=14)
+        model = TinyNet(desk_net_config(input_shape=(2 * stack_length, 14, 14), num_classes=4), make_rng(61))
+        expected = reference_scores(model, pairs, params)
+        batches = []
+        forward = model.forward
+
+        def counted(batch):
+            batches.append(batch.shape[0])
+            return forward(batch)
+
+        monkeypatch.setattr(model, "forward", counted)
+        pred = predict_from_pairs(model, pairs, params, "v")
+        assert len(set(sample_test_starts(pair_count, stack_length, k))) == distinct
+        assert batches == [10] * distinct
+        assert pred.scores.tobytes() == expected.tobytes()
+        assert pred.predicted == argmax_class(expected)
 
 
 class TestEvaluate:

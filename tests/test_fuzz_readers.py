@@ -2,9 +2,10 @@
 
 `FormatError` is a `ValueError`, and so are the JSON and UTF-8 decode
 errors. Each example applies up to four single-byte edits (truncate at,
-flip or insert a byte) to one valid file. Single bytes keep the checkpoint's
-declared architecture, and so the net `load_checkpoint` builds from it, at
-a few megabytes at most.
+flip or insert a byte) to one valid file. `load_checkpoint` checks the
+parameter table and payload size against the declared architecture before
+it builds the net, so an edited size cannot make it allocate more than the
+file holds.
 """
 
 import numpy as np

@@ -144,6 +144,74 @@ class TestBackward:
             net.backward(None, np.array([0]))
 
 
+def reference_backward(net, cache, targets):
+    """Backward through every layer, the first layer's input gradient included."""
+    probs = cache["probs"]
+    n = probs.shape[0]
+    dlogits = probs.copy()
+    dlogits[np.arange(n), targets] -= 1.0
+    dlogits /= n
+    dx = dlogits.reshape(cache["logits_shape"])
+    grads = [None] * len(net.layers)
+    for i in range(len(net.layers) - 1, -1, -1):
+        dx, grads[i] = net.layers[i].backward(dx, cache["layers"][i])
+    assert dx.shape == (n,) + tuple(net.config.input_shape)
+    return grads
+
+
+class TestFirstLayerInputGradient:
+    @pytest.mark.parametrize(
+        "config",
+        [
+            desk_net_config(input_shape=(20, 16, 16)),
+            NetConfig(input_shape=(4, 8, 8), num_classes=3, layers=(FcSpec(3),)),
+        ],
+        ids=["desk", "one_fc"],
+    )
+    def test_gradients_equal_a_backward_that_builds_it(self, config):
+        net = TinyNet(config, make_rng(70))
+        x = make_rng(71).normal(size=(3,) + config.input_shape)
+        targets = np.arange(3) % config.num_classes
+        _, cache = net.forward_with_cache(x, make_rng(72))
+        grads = net.backward(cache, targets)
+        expected = reference_backward(net, cache, targets)
+        assert [sorted(g) for g in grads] == [sorted(g) for g in expected]
+        for i, (g, e) in enumerate(zip(grads, expected)):
+            for name in g:
+                assert g[name].tobytes() == e[name].tobytes(), (i, name)
+
+    @pytest.mark.parametrize(
+        "config, scattered",
+        [
+            (desk_net_config(input_shape=(20, 16, 16)), [(2, 16, 8, 8)]),
+            (
+                NetConfig(
+                    input_shape=(3, 8, 8),
+                    num_classes=4,
+                    layers=(ConvSpec(4), ReluSpec(), ConvSpec(5, stride=2), ReluSpec(), ConvSpec(2), FcSpec(4)),
+                ),
+                [(2, 5, 4, 4), (2, 4, 8, 8)],
+            ),
+        ],
+        ids=["desk", "three_convs"],
+    )
+    def test_col2im_runs_for_every_conv_but_the_first(self, monkeypatch, config, scattered):
+        import mostream.net as net_module
+
+        seen = []
+        col2im = net_module._col2im
+
+        def counted(dflat, x_shape, *args):
+            seen.append(tuple(x_shape))
+            return col2im(dflat, x_shape, *args)
+
+        monkeypatch.setattr(net_module, "_col2im", counted)
+        net = TinyNet(config, make_rng(73))
+        x = make_rng(74).normal(size=(2,) + config.input_shape)
+        net.loss_and_grads(x, np.array([0, 1]), make_rng(75))
+        assert seen == scattered
+
+
 class TestDropout:
     def test_inverted_dropout_expectation(self):
         layer_cfg = NetConfig(input_shape=(4, 1, 1), num_classes=4, layers=(DropoutSpec(0.5),))
@@ -352,6 +420,47 @@ class TestCheckpoint:
         path = tmp_path / "short.mosn"
         path.write_bytes(b"MOSN\x01")
         with pytest.raises(ValueError, match="truncated"):
+            load_checkpoint(path)
+
+    def test_oversized_declared_input_rejected_before_allocating(self, tmp_path):
+        # The declared input would need a 29 TiB weight; the parameter table
+        # and payload of the saved one-FC net are checked against it first.
+        import json
+        import struct
+
+        path = tmp_path / "model.mosn"
+        save_checkpoint(TinyNet(NetConfig(input_shape=(2, 3, 3), num_classes=2, layers=(FcSpec(2),)), make_rng(37)), path)
+        data = path.read_bytes()
+        (blob_len,) = struct.unpack_from("<I", data, 5)
+        header = json.loads(data[9 : 9 + blob_len])
+        header["input_shape"] = [2, 1000000, 1000000]
+        blob = json.dumps(header).encode()
+        path.write_bytes(data[:5] + struct.pack("<I", len(blob)) + blob + data[9 + blob_len :])
+        with pytest.raises(ValueError, match="parameter table does not match"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("layer, field, value", [(0, "stride", 0), (0, "kernel", 0), (0, "pad", -1), (2, "width", 0)])
+    def test_invalid_layer_descriptor_rejected(self, tmp_path, layer, field, value):
+        import json
+        import struct
+
+        config = NetConfig(input_shape=(2, 6, 6), num_classes=3, layers=(ConvSpec(2), ReluSpec(), FcSpec(3)))
+        path = tmp_path / "model.mosn"
+        save_checkpoint(TinyNet(config, make_rng(39)), path)
+        data = path.read_bytes()
+        (blob_len,) = struct.unpack_from("<I", data, 5)
+        header = json.loads(data[9 : 9 + blob_len])
+        header["layers"][layer][field] = value
+        blob = json.dumps(header).encode()
+        path.write_bytes(data[:5] + struct.pack("<I", len(blob)) + blob + data[9 + blob_len :])
+        with pytest.raises(ValueError, match="positive|>= 1"):
+            load_checkpoint(path)
+
+    def test_short_payload_rejected(self, tmp_path):
+        path = tmp_path / "model.mosn"
+        save_checkpoint(TinyNet(small_config(), make_rng(38)), path)
+        path.write_bytes(path.read_bytes()[:-8])
+        with pytest.raises(ValueError, match="truncated checkpoint payload"):
             load_checkpoint(path)
 
     def test_desk_default_shapes(self):
