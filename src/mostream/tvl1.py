@@ -9,8 +9,12 @@ alternates a point-wise soft-thresholding step on the linearized data term
 with dual-projection iterations that solve the total-variation denoising
 subproblem, re-warping the second image between passes.
 
-The solver holds each quantity as one stacked ``(2, H, W)`` array: the
-image pair (first, second), the flow and its duals (x, then y).
+The solver holds each quantity of N pairs as one ``(N, 2, H, W)`` stack:
+the image pairs (first, second), the flows and their duals (x, then y). A
+clip's pairs are solved together, one pyramid level at a time, in chunks
+that hold no more pixels than one full-resolution pair; every per-pair sum
+is a contiguous reduction over that pair's pixels, so each flow is
+bit-identical to solving its pair alone.
 
 ``block_match_flow`` is a deliberately simple exhaustive-search SAD matcher
 used as an independent test oracle for the variational solver; the two share
@@ -24,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.ndimage import gaussian_filter
 
-from .raster import FlowField, GrayImage, bilinear_map, resize_bilinear
+from .raster import FlowField, GrayImage, resize_bilinear
 
 # Coarsest pyramid level must keep at least this many pixels per side.
 MIN_LEVEL_SIDE = 16
@@ -62,14 +66,15 @@ class Tvl1Params:
 
 
 def _central_gradient(img):
-    # (d/dx, d/dy) stacked; one-sided half-differences at the border.
-    g = np.empty((2,) + img.shape)
-    g[0, :, 1:-1] = 0.5 * (img[:, 2:] - img[:, :-2])
-    g[0, :, 0] = 0.5 * (img[:, 1] - img[:, 0])
-    g[0, :, -1] = 0.5 * (img[:, -1] - img[:, -2])
-    g[1, 1:-1, :] = 0.5 * (img[2:, :] - img[:-2, :])
-    g[1, 0, :] = 0.5 * (img[1, :] - img[0, :])
-    g[1, -1, :] = 0.5 * (img[-1, :] - img[-2, :])
+    # (d/dx, d/dy) of (..., H, W) images, stacked on a new axis before the
+    # last two; one-sided half-differences at the border.
+    g = np.empty(img.shape[:-2] + (2,) + img.shape[-2:])
+    g[..., 0, :, 1:-1] = 0.5 * (img[..., :, 2:] - img[..., :, :-2])
+    g[..., 0, :, 0] = 0.5 * (img[..., :, 1] - img[..., :, 0])
+    g[..., 0, :, -1] = 0.5 * (img[..., :, -1] - img[..., :, -2])
+    g[..., 1, 1:-1, :] = 0.5 * (img[..., 2:, :] - img[..., :-2, :])
+    g[..., 1, 0, :] = 0.5 * (img[..., 1, :] - img[..., 0, :])
+    g[..., 1, -1, :] = 0.5 * (img[..., -1, :] - img[..., -2, :])
     return g
 
 
@@ -98,25 +103,51 @@ def _pixel_grid(h, w):
     return np.array(np.meshgrid(np.arange(w, dtype=np.float64), np.arange(h, dtype=np.float64)))
 
 
-def _energy(pair, grid, flow, lam):
-    warped = bilinear_map(pair[1], *(grid + flow))
-    data = lam * np.abs(warped - pair[0]).sum()
+def _sample(src, at):
+    # Bilinear samples of every channel of src (N, C, H, W) at the points
+    # at (N, 2, H, W), with the arithmetic of `bilinear_map`; the corners
+    # and weights are computed once and shared by the C channels.
+    n, c, h, w = src.shape
+    xc = np.clip(at[:, 0], 0.0, float(w - 1))
+    yc = np.clip(at[:, 1], 0.0, float(h - 1))
+    x0 = np.floor(xc).astype(np.intp)
+    y0 = np.floor(yc).astype(np.intp)
+    x1 = np.minimum(x0 + 1, w - 1)[:, None]
+    y1 = np.minimum(y0 + 1, h - 1)
+    fx = (xc - x0)[:, None]
+    fy = (yc - y0)[:, None]
+    # Flat offsets of (pair, channel, row) in src.
+    base = (np.arange(n) * (c * h * w))[:, None, None, None] + (np.arange(c) * (h * w))[:, None, None]
+    row0 = base + (y0 * w)[:, None]
+    row1 = base + (y1 * w)[:, None]
+    x0 = x0[:, None]
+    flat = src.reshape(-1)
+    top = flat.take(row0 + x0) * (1.0 - fx) + flat.take(row0 + x1) * fx
+    bot = flat.take(row1 + x0) * (1.0 - fx) + flat.take(row1 + x1) * fx
+    return top * (1.0 - fy) + bot * fy
+
+
+def _energy(pairs, grid, flow, lam):
+    # Energy of each pair of an (N, 2, H, W) stack; every sum is a
+    # contiguous reduction over one pair's pixels, as for a lone pair.
+    n = len(flow)
+    warped = _sample(pairs[:, 1:], grid + flow)[:, 0]
+    data = lam * np.abs(warped - pairs[:, 0]).reshape(n, -1).sum(axis=1)
     fx, fy = _forward_gradient(flow)
-    tv = np.sqrt(fx * fx + fy * fy)
-    return float(data + (tv[0].sum() + tv[1].sum()))
+    tv = np.sqrt(fx * fx + fy * fy).reshape(n, 2, -1).sum(axis=2)
+    return data + (tv[:, 0] + tv[:, 1])
 
 
 def tvl1_energy(prev: GrayImage, nxt: GrayImage, flow: FlowField, lam: float) -> float:
     """Nonlinear TV-L1 energy of a flow field for an image pair."""
-    pair = np.array([prev, nxt], dtype=np.float64)
-    return _energy(pair, _pixel_grid(*pair.shape[1:]), np.array([flow.u, flow.v]), lam)
+    pairs = np.array([[prev, nxt]], dtype=np.float64)
+    return float(_energy(pairs, _pixel_grid(*pairs.shape[2:]), np.array([[flow.u, flow.v]]), lam)[0])
 
 
-def _normalize_pair(prev, nxt):
-    # Joint affine map of both images onto [0, 255]; the solver's default
-    # weights are tuned for byte-scale intensities. Constant pairs map to
-    # zero, which in turn yields exactly zero flow.
-    pair = np.array([prev, nxt])
+def _normalize_pair(pair):
+    # Joint affine map of both images of a (2, H, W) pair onto [0, 255];
+    # the solver's default weights are tuned for byte-scale intensities.
+    # Constant pairs map to zero, which in turn yields exactly zero flow.
     lo = pair.min()
     hi = pair.max()
     if hi - lo <= 0:
@@ -124,9 +155,10 @@ def _normalize_pair(prev, nxt):
     return (pair - lo) * (255.0 / (hi - lo))
 
 
-def _downscale(pair, scale, size):
+def _downscale(pairs, scale, size):
     sigma = 0.6 * np.sqrt(1.0 / scale**2 - 1.0)
-    return resize_bilinear(gaussian_filter(pair, (0.0, sigma, sigma), mode="nearest"), *size)
+    sigmas = (0.0,) * (pairs.ndim - 2) + (sigma, sigma)
+    return resize_bilinear(gaussian_filter(pairs, sigmas, mode="nearest"), *size)
 
 
 def _pyramid_sizes(h, w, params):
@@ -141,60 +173,133 @@ def _pyramid_sizes(h, w, params):
     return sizes
 
 
-def _solve_level(pair, flow, params):
-    # Returns the refined flow and the accepted energy after each warp.
-    grid = _pixel_grid(*flow.shape[1:])
-    i0, i1 = pair
-    grad = _central_gradient(i1)
+def _solve_level(pairs, flow, params):
+    # Refines the flows (N, 2, H, W) of a stack of N pairs. Each pair keeps
+    # its own stop test, leaving the working set for the rest of a warp
+    # once it meets it, and its own monotone acceptance. Returns the flows
+    # and the accepted energy of every pair after each warp, (warps, N).
+    n = len(flow)
+    grid = _pixel_grid(*flow.shape[2:])
+    # The second image and its gradient, sampled together at every warp.
+    src = np.concatenate([pairs[:, 1:], _central_gradient(pairs[:, 1])], axis=1)
 
     lt = params.lam * params.tv_theta
     taut = params.tau / params.tv_theta
     p1 = np.zeros_like(flow)
     p2 = np.zeros_like(flow)
     energies = []
-    accepted = _energy(pair, grid, flow, params.lam)
+    accepted = _energy(pairs, grid, flow, params.lam)
 
     for _ in range(params.warps_per_level):
-        flow_in = flow
-        at = grid + flow
-        i1w = bilinear_map(i1, *at)
-        g = np.array([bilinear_map(c, *at) for c in grad])
-        grad_sq = g[0] * g[0] + g[1] * g[1]
-        # Constant part of the residual linearized at the warp point.
-        rho_c = i1w - g[0] * flow[0] - g[1] * flow[1] - i0
+        warped = _sample(src, grid + flow)
+        g = warped[:, 1:]
+        grad_sq = g[:, 0] * g[:, 0] + g[:, 1] * g[:, 1]
+        # Constant part of the residual linearized at the warp point, the
+        # clamp bound lam*theta*|grad|^2 and the Gauss-Newton divisor.
+        rho_c = warped[:, 0] - g[:, 0] * flow[:, 0] - g[:, 1] * flow[:, 1] - pairs[:, 0]
+        bound = lt * grad_sq
+        divisor = np.maximum(grad_sq, _GRAD_FLOOR)
 
+        refined = np.empty_like(flow)
+        live = np.arange(n)
+        f, q1, q2 = flow, p1, p2
         for _ in range(params.inner_iterations):
-            last = flow
-            rho = rho_c + g[0] * flow[0] + g[1] * flow[1]
+            last = f
+            rho = rho_c + g[:, 0] * f[:, 0] + g[:, 1] * f[:, 1]
             # Point-wise minimizer of lam*theta*|rho(v)| + 0.5*|v - u|^2:
             # clamp the Gauss-Newton step to +-lam*theta*|grad|.
-            step = np.where(
-                rho < -lt * grad_sq,
-                lt,
-                np.where(rho > lt * grad_sq, -lt, -rho / np.maximum(grad_sq, _GRAD_FLOOR)),
-            )
-            flow = flow + step * g + params.tv_theta * _divergence(p1, p2)
+            step = np.where(rho < -bound, lt, np.where(rho > bound, -lt, -rho / divisor))
+            f = f + step[:, None] * g + params.tv_theta * _divergence(q1, q2)
 
-            fx, fy = _forward_gradient(flow)
+            fx, fy = _forward_gradient(f)
             norm = 1.0 + taut * np.sqrt(fx * fx + fy * fy)
-            p1 = (p1 + taut * fx) / norm
-            p2 = (p2 + taut * fy) / norm
+            q1 = (q1 + taut * fx) / norm
+            q2 = (q2 + taut * fy) / norm
 
-            d = (flow - last) ** 2
-            if np.mean(d[0] + d[1]) < params.stop_epsilon**2:
-                break
+            d = (f - last) ** 2
+            d = (d[:, 0] + d[:, 1]).reshape(len(f), -1)
+            # The mean over each pair's pixels, as `np.mean` computes it.
+            stop = d.sum(axis=1) / d.shape[1] < params.stop_epsilon**2
+            if stop.any():
+                done = live[stop]
+                refined[done], p1[done], p2[done] = f[stop], q1[stop], q2[stop]
+                keep = ~stop
+                live = live[keep]
+                f, q1, q2, g, rho_c, bound, divisor = (a[keep] for a in (f, q1, q2, g, rho_c, bound, divisor))
+                if not len(live):
+                    break
+        refined[live], p1[live], p2[live] = f, q1, q2
 
         # Monotone acceptance: the relinearized subproblem can raise the
-        # true nonlinear energy; keep the previous flow when it does (dual
-        # state carries on, so later warps can still make progress).
-        candidate = _energy(pair, grid, flow, params.lam)
-        if candidate > accepted:
-            flow = flow_in
-        else:
-            accepted = candidate
+        # true nonlinear energy; a pair keeps its previous flow when it
+        # does (dual state carries on, so later warps can still make
+        # progress).
+        candidate = _energy(pairs, grid, refined, params.lam)
+        rejected = candidate > accepted
+        flow = np.where(rejected[:, None, None, None], flow, refined)
+        accepted = np.where(rejected, accepted, candidate)
         energies.append(accepted)
 
-    return flow, energies
+    return flow, np.array(energies)
+
+
+def _frame_stack(frames):
+    # The frames as one (T, H, W) float64 array, every frame checked
+    # before any pair is solved.
+    frames = [np.asarray(f, dtype=np.float64) for f in frames]
+    shape = frames[0].shape
+    for i, f in enumerate(frames):
+        if f.ndim != 2 or f.shape != shape:
+            raise ValueError(f"frame shapes differ: frame 0 is {shape}, frame {i} is {f.shape}")
+    h, w = shape
+    if min(h, w) < MIN_LEVEL_SIDE:
+        raise ValueError(f"frames must be at least {MIN_LEVEL_SIDE}x{MIN_LEVEL_SIDE}, got {w}x{h}")
+    frames = np.array(frames)
+    if not np.isfinite(frames).all():
+        raise ValueError("frames contain non-finite values")
+    return frames
+
+
+def _flows(frames, params):
+    # Flows (T-1, 2, H, W) of the consecutive pairs of a (T, H, W) stack,
+    # and the accepted energies after each warp of the finest level,
+    # (warps, T-1). Each level solves its pairs in chunks that together
+    # hold no more pixels than one full-resolution pair.
+    n = len(frames) - 1
+    h, w = frames.shape[1:]
+    sizes = _pyramid_sizes(h, w, params)
+    scale = params.pyramid_scale
+
+    # The coarse levels of every pair, finest first. A full-resolution pair
+    # is normalized when it is downscaled and again when it is solved, so
+    # only one is held at a time.
+    coarse = []
+    if len(sizes) > 1:
+        coarse.append(np.array([_downscale(_normalize_pair(frames[t : t + 2]), scale, sizes[1]) for t in range(n)]))
+    for size in sizes[2:]:
+        coarse.append(_downscale(coarse[-1], scale, size))
+
+    flow = np.zeros((n, 2) + sizes[-1])
+    for lh, lw in reversed(sizes):
+        pairs = coarse.pop() if coarse else None
+        chunk = max(1, (h * w) // (lh * lw))
+        ch, cw = flow.shape[2:]
+        # Upscale the coarse flow; displacement values grow with the
+        # actual per-axis size ratio (nominally 1/pyramid_scale).
+        ratio = np.array([lw / cw, lh / ch])[:, None, None]
+        level = np.empty((n, 2, lh, lw))
+        energies = []
+        for s in range(0, n, chunk):
+            end = min(s + chunk, n)
+            if pairs is None:
+                part = np.array([_normalize_pair(frames[t : t + 2]) for t in range(s, end)])
+            else:
+                part = pairs[s:end]
+            init = flow[s:end] if (ch, cw) == (lh, lw) else resize_bilinear(flow[s:end], lh, lw) * ratio
+            level[s:end], e = _solve_level(part, init, params)
+            energies.append(e)
+        flow = level
+    return flow, np.concatenate(energies, axis=1)
 
 
 def tvl1_flow(
@@ -208,34 +313,10 @@ def tvl1_flow(
     With ``return_energies=True`` also returns the nonlinear energy after
     each warp of the finest pyramid level (used by the monotonicity tests).
     """
-    prev = np.asarray(prev, dtype=np.float64)
-    nxt = np.asarray(nxt, dtype=np.float64)
-    if prev.ndim != 2 or prev.shape != nxt.shape:
-        raise ValueError(f"frame shapes differ: {prev.shape} vs {nxt.shape}")
-    h, w = prev.shape
-    if min(h, w) < MIN_LEVEL_SIDE:
-        raise ValueError(f"frames must be at least {MIN_LEVEL_SIDE}x{MIN_LEVEL_SIDE}, got {w}x{h}")
-    if not (np.isfinite(prev).all() and np.isfinite(nxt).all()):
-        raise ValueError("frames contain non-finite values")
-
-    sizes = _pyramid_sizes(h, w, params)
-    pyramid = [_normalize_pair(prev, nxt)]
-    for size in sizes[1:]:
-        pyramid.append(_downscale(pyramid[-1], params.pyramid_scale, size))
-
-    flow = np.zeros((2,) + sizes[-1])
-    for pair in reversed(pyramid):
-        lh, lw = pair.shape[1:]
-        ch, cw = flow.shape[1:]
-        if (ch, cw) != (lh, lw):
-            # Upscale the coarse flow; displacement values grow with the
-            # actual per-axis size ratio (nominally 1/pyramid_scale).
-            flow = resize_bilinear(flow, lh, lw) * np.array([lw / cw, lh / ch])[:, None, None]
-        flow, energies = _solve_level(pair, flow, params)
-
-    flow = FlowField(flow[0], flow[1])
+    flows, energies = _flows(_frame_stack([prev, nxt]), params)
+    flow = FlowField(flows[0, 0], flows[0, 1])
     if return_energies:
-        return flow, energies
+        return flow, [float(e) for e in energies[:, 0]]
     return flow
 
 
@@ -303,11 +384,13 @@ def block_match_flow(
 
 
 def video_flows(frames: list, params: Tvl1Params = Tvl1Params()) -> list[FlowField]:
-    """TV-L1 flow for every consecutive frame pair: n frames -> n-1 flows."""
+    """TV-L1 flow for every consecutive frame pair: n frames -> n-1 flows.
+
+    Every frame is checked before any pair is solved. The pairs are solved
+    together, level by level, and each flow is bit-identical to
+    ``tvl1_flow`` on its pair alone.
+    """
     if len(frames) < 2:
         raise ValueError(f"need at least 2 frames, got {len(frames)}")
-    shape = np.asarray(frames[0]).shape
-    for i, f in enumerate(frames):
-        if np.asarray(f).shape != shape:
-            raise ValueError(f"frame {i} has shape {np.asarray(f).shape}, expected {shape}")
-    return [tvl1_flow(frames[t], frames[t + 1], params) for t in range(len(frames) - 1)]
+    flows, _ = _flows(_frame_stack(frames), params)
+    return [FlowField(f[0], f[1]) for f in flows]

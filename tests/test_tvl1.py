@@ -1,7 +1,11 @@
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from conftest import interior_mask, shift_image, smooth_texture
+from mostream import tvl1
 from mostream.raster import FlowField, make_rng
 from mostream.tvl1 import (
     Tvl1Params,
@@ -16,6 +20,33 @@ from mostream.tvl1 import (
 
 def epe(flow, dx, dy, mask):
     return np.hypot(flow.u - dx, flow.v - dy)[mask].mean()
+
+
+def mixed_clip():
+    """12 frames at 64x64 whose 11 pairs are a constant pair (zero flow), a
+    pair from constant to textured, a static textured pair (the stop test
+    fires at once) and 8 moving pairs. The slow ones (0.02 and 0.04 px)
+    meet the stop test part way through a warp while the rest of their
+    chunk goes on; the 32x32 level solves chunks of 4, 4 and 3 pairs."""
+    tex = smooth_texture(90, 64, 64)
+    steps = np.cumsum([0.3, 0.02, 0.02, 0.5, 0.75, 0.04, 0.75, 0.75])
+    return [np.full((64, 64), 40.0)] * 2 + [tex, tex] + [shift_image(tex, s, -0.6 * s) for s in steps]
+
+
+# sha256 of the raw float64 u, then v, bytes of each flow `video_flows`
+# returns for `mixed_clip()`, as computed when every pair was solved alone.
+MIXED_CLIP_FLOWS_SHA256 = "d9a06974deeb63572756f1fabd6d699eb55fbc2060fa029f9d8cedd4c9a6f9f9"
+
+
+def traced_peak(fn):
+    """Peak bytes traced by `tracemalloc` while `fn()` runs."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
 
 
 class TestTvl1Params:
@@ -190,3 +221,42 @@ class TestVideoFlows:
     def test_mixed_shapes(self):
         with pytest.raises(ValueError):
             video_flows([np.zeros((32, 32)), np.zeros((16, 16))])
+
+    @pytest.mark.parametrize(
+        "bad, match",
+        [
+            (lambda f: f[:-1] + [np.where(f[-1] > 100.0, np.nan, f[-1])], "non-finite"),
+            (lambda f: f[:-1] + [np.full_like(f[-1], np.inf)], "non-finite"),
+            (lambda f: [x[:12, :20] for x in f], "at least"),
+            (lambda f: f[:-1] + [f[-1][:, :40]], "shapes differ"),
+        ],
+        ids=["nan_last_frame", "inf_last_frame", "undersized", "last_frame_shape"],
+    )
+    def test_every_frame_checked_before_any_solve(self, monkeypatch, bad, match):
+        calls = []
+        solve = tvl1._solve_level
+        monkeypatch.setattr(tvl1, "_solve_level", lambda *args: calls.append(args) or solve(*args))
+        with pytest.raises(ValueError, match=match):
+            video_flows(bad(mixed_clip()))
+        assert not calls
+
+    def test_flows_keep_their_bits(self):
+        digest = hashlib.sha256()
+        for f in video_flows(mixed_clip()):
+            digest.update(f.u.tobytes())
+            digest.update(f.v.tobytes())
+        assert digest.hexdigest() == MIXED_CLIP_FLOWS_SHA256
+
+    def test_each_flow_equals_its_pair_solved_alone(self):
+        frames = mixed_clip()
+        flows = video_flows(frames)
+        assert len(flows) == 11
+        for t, flow in enumerate(flows):
+            alone = tvl1_flow(frames[t], frames[t + 1])
+            assert np.array_equal(flow.u, alone.u) and np.array_equal(flow.v, alone.v), t
+
+    def test_clip_peak_memory_stays_near_one_pair(self):
+        frames = mixed_clip()
+        clip = traced_peak(lambda: video_flows(frames))
+        pair = traced_peak(lambda: tvl1_flow(frames[5], frames[6]))
+        assert clip <= 2 * pair, (clip, pair)
