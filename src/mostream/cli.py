@@ -231,6 +231,10 @@ def cmd_eval(args):
     entries = formats.read_manifest(args.manifest)
     labels = {e.path: e.class_index for e in entries}
     class_names = formats.manifest_classes(entries)
+    if scores.shape[1] != len(class_names):
+        raise formats.FormatError(
+            f"{args.scores}: {scores.shape[1]} score columns, but {args.manifest} has {len(class_names)} classes"
+        )
     predictions = [
         VideoPrediction(vid, row, argmax_class(row)) for vid, row in zip(ids, scores)
     ]

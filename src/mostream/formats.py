@@ -172,7 +172,9 @@ def read_tensor(path) -> np.ndarray:
 
 
 # --------------------------------------------------------------------------
-# manifest: UTF-8 lines "path<TAB>label<TAB>class_index<TAB>split"
+# manifest: UTF-8 lines "path<TAB>label<TAB>class_index<TAB>split"; each
+# path is relative, '/'-separated, with no '.' or '..' component, so every
+# clip stays inside the trees it is read from and written to.
 
 
 @dataclass(frozen=True)
@@ -197,9 +199,15 @@ def read_manifest(path) -> list[ManifestEntry]:
         if len(parts) != 4:
             raise FormatError(f"{path}:{lineno}: expected 4 tab-separated fields, got {len(parts)}")
         rel, label, index, split = parts
+        if not rel or rel.startswith("/") or any(part in (".", "..") for part in rel.split("/")):
+            raise FormatError(f"{path}:{lineno}: clip path must be relative with no '.' or '..' component, got {rel!r}")
+        try:
+            class_index = int(index)
+        except ValueError:
+            raise FormatError(f"{path}:{lineno}: class index must be an integer, got {index!r}") from None
         if split not in ("train", "test"):
             raise FormatError(f"{path}:{lineno}: split must be 'train' or 'test', got {split!r}")
-        entries.append(ManifestEntry(rel, label, int(index), split))
+        entries.append(ManifestEntry(rel, label, class_index, split))
     _validate_manifest(entries, path)
     return entries
 
@@ -257,14 +265,17 @@ def read_scores_csv(path):
         parts = line.split(",")
         if len(parts) != k + 1:
             raise FormatError(f"{path}:{lineno}: expected {k + 1} columns, got {len(parts)}")
-        row = [float(x) for x in parts[1:]]
+        try:
+            row = [float(x) for x in parts[1:]]
+        except ValueError:
+            raise FormatError(f"{path}:{lineno}: non-numeric score in {line!r}") from None
         if not np.isfinite(row).all():
             raise FormatError(f"{path}:{lineno}: non-finite score in {line!r}")
         if parts[0] in first_line:
             raise FormatError(f"{path}:{lineno}: video {parts[0]!r} repeats line {first_line[parts[0]]}")
         first_line[parts[0]] = lineno
         rows.append(row)
-    return list(first_line), np.asarray(rows, dtype=np.float64)
+    return list(first_line), np.asarray(rows, dtype=np.float64).reshape(-1, k)
 
 
 def write_loss_csv(path, curve):

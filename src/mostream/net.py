@@ -73,9 +73,6 @@ class DropoutSpec:
             raise ValueError(f"dropout rate must lie in [0, 1), got {self.rate}")
 
 
-LayerSpec = Union[ConvSpec, ReluSpec, PoolSpec, FcSpec, DropoutSpec]
-
-
 @dataclass(frozen=True)
 class NetConfig:
     input_shape: tuple[int, int, int]
@@ -183,10 +180,43 @@ def _col2im(dflat, x_shape, k, stride, pad):
     return dx
 
 
-def _layer_shapes(spec, in_shape):
-    """Output shape of one layer on an input of `in_shape`, and the shape of
-    each of its parameters by name, found without allocating anything."""
-    if isinstance(spec, ConvSpec):
+def _he_normal(shape, rng):
+    # He initialization; the fan-in is everything but the output axis.
+    return rng.normal(0.0, np.sqrt(2.0 / math.prod(shape[1:])), shape)
+
+
+class _Layer:
+    """Shared base of every layer kind, built as (spec, in_shape, rng). The
+    shape rule `shapes(spec, in_shape)` gives the output shape and each
+    parameter's shape without allocating; the default keeps the shape and
+    has no parameters. He-normal `w`, then zero `b`, where the rule lists them.
+
+    backward(dout, cache, need_dx=True) returns (dx, parameter gradients);
+    with need_dx=False it builds no input gradient and returns None for dx,
+    which TinyNet.backward asks of its first layer.
+    """
+
+    def __init__(self, spec, in_shape, rng):
+        self.spec = spec
+        self.in_shape = in_shape
+        self.out_shape, shapes = self.shapes(spec, in_shape)
+        if "w" in shapes:
+            self.w = _he_normal(shapes["w"], rng)
+            self.b = np.zeros(shapes["b"])
+
+    @staticmethod
+    def shapes(spec, in_shape):
+        return in_shape, {}
+
+    def params(self):
+        return {name: getattr(self, name) for name in ("w", "b") if hasattr(self, name)}
+
+
+class _Conv(_Layer):
+    @staticmethod
+    def shapes(spec, in_shape):
+        if len(in_shape) != 3:
+            raise ValueError(f"convolution needs a (C, H, W) input, got {in_shape}")
         c, h, w = in_shape
         k = spec.kernel
         if h + 2 * spec.pad < k or w + 2 * spec.pad < k:
@@ -194,35 +224,6 @@ def _layer_shapes(spec, in_shape):
         out_h = (h + 2 * spec.pad - k) // spec.stride + 1
         out_w = (w + 2 * spec.pad - k) // spec.stride + 1
         return (spec.out_channels, out_h, out_w), {"w": (spec.out_channels, c, k, k), "b": (spec.out_channels,)}
-    if isinstance(spec, PoolSpec):
-        c, h, w = in_shape
-        if h < 2 or w < 2:
-            raise ValueError(f"max-pool input too small: {in_shape}")
-        return (c, h // 2, w // 2), {}
-    if isinstance(spec, FcSpec):
-        return (spec.width,), {"w": (spec.width, math.prod(in_shape)), "b": (spec.width,)}
-    return in_shape, {}
-
-
-def _he_normal(shape, rng):
-    # He initialization; the fan-in is everything but the output axis.
-    return rng.normal(0.0, np.sqrt(2.0 / math.prod(shape[1:])), shape)
-
-
-# Each layer's backward(dout, cache, need_dx=True) returns (dx, parameter
-# gradients); with need_dx=False it builds no input gradient and returns
-# None for dx, which TinyNet.backward asks of its first layer.
-
-
-class _Conv:
-    def __init__(self, spec, in_shape, rng):
-        self.out_shape, shapes = _layer_shapes(spec, in_shape)
-        self.spec = spec
-        self.w = _he_normal(shapes["w"], rng)
-        self.b = np.zeros(shapes["b"])
-
-    def params(self):
-        return {"w": self.w, "b": self.b}
 
     def _w2(self):
         # (out, k*k*c) to match the im2col feature order.
@@ -254,13 +255,7 @@ class _Conv:
         return _col2im(dflat, x_shape, spec.kernel, spec.stride, spec.pad), grads
 
 
-class _Relu:
-    def __init__(self, in_shape):
-        self.out_shape = in_shape
-
-    def params(self):
-        return {}
-
+class _Relu(_Layer):
     def forward(self, x, train, rng):
         return np.maximum(x, 0.0), x > 0
 
@@ -268,14 +263,21 @@ class _Relu:
         return (dout * cache if need_dx else None), {}
 
 
-class _Pool:
-    def __init__(self, in_shape):
-        self.out_shape, _ = _layer_shapes(PoolSpec(), in_shape)
-        _, out_h, out_w = self.out_shape
-        self.crop = (2 * out_h, 2 * out_w)
+class _Pool(_Layer):
+    @staticmethod
+    def shapes(spec, in_shape):
+        if len(in_shape) != 3:
+            raise ValueError(f"max-pool needs a (C, H, W) input, got {in_shape}")
+        c, h, w = in_shape
+        if h < 2 or w < 2:
+            raise ValueError(f"max-pool input too small: {in_shape}")
+        return (c, h // 2, w // 2), {}
 
-    def params(self):
-        return {}
+    @property
+    def crop(self):
+        # Odd trailing rows/columns fall outside the pooled windows.
+        _, out_h, out_w = self.out_shape
+        return 2 * out_h, 2 * out_w
 
     def forward(self, x, train, rng):
         n, c, h, w = x.shape
@@ -300,15 +302,10 @@ class _Pool:
         return dx, {}
 
 
-class _Fc:
-    def __init__(self, spec, in_shape, rng):
-        self.out_shape, shapes = _layer_shapes(spec, in_shape)
-        self.in_shape = in_shape
-        self.w = _he_normal(shapes["w"], rng)
-        self.b = np.zeros(shapes["b"])
-
-    def params(self):
-        return {"w": self.w, "b": self.b}
+class _Fc(_Layer):
+    @staticmethod
+    def shapes(spec, in_shape):
+        return (spec.width,), {"w": (spec.width, math.prod(in_shape)), "b": (spec.width,)}
 
     def forward(self, x, train, rng):
         flat = x.reshape(x.shape[0], -1)
@@ -321,20 +318,14 @@ class _Fc:
         return dx, {"w": dw, "b": db}
 
 
-class _Dropout:
-    def __init__(self, spec, in_shape):
-        self.rate = spec.rate
-        self.out_shape = in_shape
-
-    def params(self):
-        return {}
-
+class _Dropout(_Layer):
     def forward(self, x, train, rng):
-        if not train or self.rate == 0.0:
+        rate = self.spec.rate
+        if not train or rate == 0.0:
             return x, None
         if rng is None:
             raise ValueError("train-mode forward through dropout requires an rng")
-        keep = 1.0 - self.rate
+        keep = 1.0 - rate
         mask = (rng.random(x.shape) < keep) / keep
         return x * mask, mask
 
@@ -346,6 +337,18 @@ class _Dropout:
         return dout * cache, {}
 
 
+# Every layer kind, one row each: spec class -> (checkpoint tag, layer class).
+# Building, shaping, saving and loading a network all read this table.
+LAYER_KINDS = {
+    ConvSpec: ("conv", _Conv),
+    ReluSpec: ("relu", _Relu),
+    PoolSpec: ("pool", _Pool),
+    FcSpec: ("fc", _Fc),
+    DropoutSpec: ("dropout", _Dropout),
+}
+LayerSpec = Union[tuple(LAYER_KINDS)]
+
+
 def _softmax(logits):
     shifted = logits - logits.max(axis=1, keepdims=True)
     e = np.exp(shifted)
@@ -353,22 +356,35 @@ def _softmax(logits):
 
 
 def _architecture(config: NetConfig):
-    """(input shape, {parameter name: shape}) of every layer of `config`,
-    checked layer by layer without allocating anything."""
+    """(layer class, input shape, {parameter name: shape}) of every layer
+    of `config`, checked layer by layer without allocating anything."""
     out = []
     shape = tuple(config.input_shape)
     for i, spec in enumerate(config.layers):
-        if not isinstance(spec, (ConvSpec, ReluSpec, PoolSpec, FcSpec, DropoutSpec)):
+        if type(spec) not in LAYER_KINDS:
             raise ValueError(f"layer {i}: unknown spec {spec!r}")
-        if isinstance(spec, (ConvSpec, PoolSpec)) and len(shape) != 3:
-            kind = "convolution" if isinstance(spec, ConvSpec) else "max-pool"
-            raise ValueError(f"layer {i}: {kind} needs a (C, H, W) input, got {shape}")
-        out_shape, params = _layer_shapes(spec, shape)
-        out.append((shape, params))
+        layer = LAYER_KINDS[type(spec)][1]
+        try:
+            out_shape, params = layer.shapes(spec, shape)
+        except ValueError as exc:
+            raise ValueError(f"layer {i}: {exc}") from None
+        out.append((layer, shape, params))
         shape = out_shape
     if math.prod(shape) != config.num_classes:
         raise ValueError(f"final layer produces {math.prod(shape)} values, expected {config.num_classes} classes")
     return out
+
+
+def _checked_targets(targets, probs_shape):
+    """Class indices as an (n,) intp array, one per row of an (n, k)
+    probability batch, each in [0, k)."""
+    n, k = probs_shape
+    targets = np.atleast_1d(np.asarray(targets, dtype=np.intp))
+    if targets.shape != (n,):
+        raise ValueError(f"expected {n} targets, got shape {targets.shape}")
+    if targets.min() < 0 or targets.max() >= k:
+        raise ValueError("target class index out of range")
+    return targets
 
 
 class TinyNet:
@@ -377,19 +393,9 @@ class TinyNet:
 
     def __init__(self, config: NetConfig, rng: Rng):
         self.config = config
-        self.layers = []
-        for spec, (in_shape, _) in zip(config.layers, _architecture(config)):
-            if isinstance(spec, ConvSpec):
-                layer = _Conv(spec, in_shape, rng)
-            elif isinstance(spec, ReluSpec):
-                layer = _Relu(in_shape)
-            elif isinstance(spec, PoolSpec):
-                layer = _Pool(in_shape)
-            elif isinstance(spec, FcSpec):
-                layer = _Fc(spec, in_shape, rng)
-            else:
-                layer = _Dropout(spec, in_shape)
-            self.layers.append(layer)
+        self.layers = [
+            layer(spec, in_shape, rng) for spec, (layer, in_shape, _) in zip(config.layers, _architecture(config))
+        ]
 
     def _as_batch(self, volume):
         x = np.asarray(volume, dtype=np.float64)
@@ -432,13 +438,9 @@ class TinyNet:
         """
         if cache is None:
             raise ValueError("backward requires the cache from a train-mode forward")
-        targets = np.atleast_1d(np.asarray(targets, dtype=np.intp))
         probs = cache["probs"]
-        n, k = probs.shape
-        if targets.shape != (n,):
-            raise ValueError(f"expected {n} targets, got shape {targets.shape}")
-        if targets.min() < 0 or targets.max() >= k:
-            raise ValueError("target class index out of range")
+        n = probs.shape[0]
+        targets = _checked_targets(targets, probs.shape)
         dlogits = probs.copy()
         dlogits[np.arange(n), targets] -= 1.0
         dlogits /= n
@@ -452,7 +454,7 @@ class TinyNet:
         """Mean cross-entropy loss and parameter gradients for a batch."""
         probs, cache = self.forward_with_cache(volume, rng)
         probs = cache["probs"]
-        targets = np.atleast_1d(np.asarray(targets, dtype=np.intp))
+        targets = _checked_targets(targets, probs.shape)
         n = probs.shape[0]
         loss = float(-np.log(np.maximum(probs[np.arange(n), targets], 1e-300)).mean())
         grads = self.backward(cache, targets)
@@ -536,21 +538,13 @@ def train(
 # layer descriptors, parameter table), then raw float64 little-endian
 # parameter payloads in layer order.
 
-_SPEC_TAGS = {
-    ConvSpec: "conv",
-    ReluSpec: "relu",
-    PoolSpec: "pool",
-    FcSpec: "fc",
-    DropoutSpec: "dropout",
-}
-
 
 def _spec_to_dict(spec):
-    return {"type": _SPEC_TAGS[type(spec)], **asdict(spec)}
+    return {"type": LAYER_KINDS[type(spec)][0], **asdict(spec)}
 
 
 def _spec_from_dict(d):
-    cls = {tag: c for c, tag in _SPEC_TAGS.items()}.get(d["type"])
+    cls = next((c for c, (tag, _) in LAYER_KINDS.items() if tag == d["type"]), None)
     if cls is None:
         raise ValueError(f"unknown layer descriptor type {d['type']!r}")
     return cls(**{f.name: d[f.name] for f in fields(cls)})
@@ -605,7 +599,7 @@ def load_checkpoint(path) -> tuple[TinyNet, dict]:
         # architecture implies before any parameter array is allocated.
         table = [
             [i, name, list(shape)]
-            for i, (_, shapes) in enumerate(_architecture(config))
+            for i, (_, _, shapes) in enumerate(_architecture(config))
             for name, shape in sorted(shapes.items())
         ]
         if len(header["params"]) != len(table):

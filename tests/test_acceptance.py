@@ -174,7 +174,7 @@ def test_criterion_4_gradient_checks():
     # (64-bit, step 1e-5) on randomized small shapes, 20 seeds. Inputs keep
     # a margin from ReLU kinks and pooling ties so the difference quotient
     # measures the same branch the analytic gradient differentiates.
-    from mostream.net import _Conv, _Dropout, _Fc, _Pool, _Relu, _softmax
+    from mostream.net import PoolSpec, _Conv, _Dropout, _Fc, _Pool, _Relu, _softmax
 
     for seed in range(20):
         rng = make_rng(seed)
@@ -186,12 +186,12 @@ def test_criterion_4_gradient_checks():
         x = make_rng(seed, stream=1).normal(size=(n, c, side, side))
         _check_layer_gradients(conv, x, seed)
 
-        relu = _Relu((c, side, side))
+        relu = _Relu(ReluSpec(), (c, side, side), rng)
         x = make_rng(seed, stream=2).normal(size=(n, c, side, side))
         x += 0.05 * np.sign(x)  # keep pre-activations off the kink
         _check_layer_gradients(relu, x, seed, check_params=False)
 
-        pool = _Pool((c, side, side))
+        pool = _Pool(PoolSpec(), (c, side, side), rng)
         perm = make_rng(seed, stream=3).permutation(n * c * side * side)
         x = 0.1 * perm.reshape(n, c, side, side).astype(np.float64)  # distinct window values
         _check_layer_gradients(pool, x, seed, check_params=False)
@@ -200,7 +200,7 @@ def test_criterion_4_gradient_checks():
         x = make_rng(seed, stream=4).normal(size=(n, c, side, side))
         _check_layer_gradients(fc, x, seed)
 
-        drop = _Dropout(DropoutSpec(0.4), (c, side, side))
+        drop = _Dropout(DropoutSpec(0.4), (c, side, side), rng)
         x = make_rng(seed, stream=5).normal(size=(n, c, side, side))
         _check_layer_gradients(drop, x, seed, rng_factory=lambda: make_rng(seed, stream=6), check_params=False)
 

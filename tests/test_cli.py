@@ -419,6 +419,33 @@ class TestHostileInputs:
         assert main(["eval", "--scores", str(scores), "--manifest", str(manifest)]) == 1
         assert_one_line_error(capsys)
 
+    @pytest.mark.parametrize("header, row", [("class_0,class_1,class_2", "0.1,0.8,0.1"), ("class_0", "0.9")])
+    def test_eval_scores_width_must_match_manifest(self, tmp_path, capsys, header, row):
+        # Every argmax lies inside the 2 classes, so only the width check catches it.
+        manifest = tmp_path / "manifest.tsv"
+        manifest.write_text("a/c0\tx\t0\ttest\na/c1\ty\t1\ttest\n")
+        scores = tmp_path / "scores.csv"
+        scores.write_text(f"video_id,{header}\na/c0,{row}\na/c1,{row}\n")
+        assert main(["eval", "--scores", str(scores), "--manifest", str(manifest)]) == 1
+        assert_one_line_error(capsys)
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("rel", ["../escape", "ABSOLUTE"])
+    def test_flow_manifest_path_outside_the_tree(self, tiny_dataset, tmp_path, capsys, rel):
+        clip = next(p for p in sorted(tiny_dataset.rglob("*")) if p.is_dir() and any(p.glob("*.pgm")))
+        data = tmp_path / "data"
+        data.mkdir()
+        escape = tmp_path / "escape"
+        shutil.copytree(clip, escape)
+        before = sorted(escape.iterdir())
+        manifest = tmp_path / "m.tsv"
+        manifest.write_text(f"{escape if rel == 'ABSOLUTE' else rel}\tx\t0\ttest\n")
+        out = tmp_path / "out"
+        assert main(["flow", str(data), str(out), "--manifest", str(manifest)]) == 1
+        assert_one_line_error(capsys)
+        assert sorted(escape.iterdir()) == before
+        assert not out.exists()
+
     def test_eval_scores_with_nan(self, tiny_dataset, tmp_path, capsys):
         manifest = tiny_dataset / "manifest.tsv"
         test_ids = [e.path for e in read_manifest(manifest) if e.split == "test"]

@@ -177,6 +177,25 @@ class TestManifest:
         with pytest.raises(FormatError, match="split"):
             read_manifest(path)
 
+    @pytest.mark.parametrize("rel", ["../escape", "/abs/clip", "", ".", "a/../../b", "a/./b", "a/.."])
+    def test_path_leaving_the_tree_rejected(self, tmp_path, rel):
+        path = tmp_path / "manifest.tsv"
+        path.write_text(f"a/clip_0\tx\t0\ttrain\n{rel}\tx\t0\ttest\n")
+        with pytest.raises(FormatError, match=":2: clip path"):
+            read_manifest(path)
+
+    def test_dotted_names_accepted(self, tmp_path):
+        path = tmp_path / "manifest.tsv"
+        path.write_text("a/..clip\tx\t0\ttrain\n.hidden/c.1\tx\t0\ttest\n")
+        assert [e.path for e in read_manifest(path)] == ["a/..clip", ".hidden/c.1"]
+
+    @pytest.mark.parametrize("index", ["one", "1.5", ""])
+    def test_non_integer_class_index_rejected(self, tmp_path, index):
+        path = tmp_path / "manifest.tsv"
+        path.write_text(f"a\tx\t0\ttrain\nb\ty\t{index}\ttest\n")
+        with pytest.raises(FormatError, match=":2: class index"):
+            read_manifest(path)
+
 
 class TestCsv:
     def test_scores_round_trip(self, tmp_path):
@@ -201,6 +220,18 @@ class TestCsv:
         path.write_text(f"video_id,class_0,class_1\nv0,0.5,0.5\nv1,{value},0.5\n")
         with pytest.raises(FormatError, match=":3:"):
             read_scores_csv(path)
+
+    def test_scores_rejects_non_numeric(self, tmp_path):
+        path = tmp_path / "scores.csv"
+        path.write_text("video_id,class_0,class_1\nv0,0.5,0.5\nv1,high,0.5\n")
+        with pytest.raises(FormatError, match=":3: non-numeric"):
+            read_scores_csv(path)
+
+    def test_scores_header_only_keeps_width(self, tmp_path):
+        path = tmp_path / "scores.csv"
+        path.write_text("video_id,class_0,class_1,class_2\n")
+        ids, scores = read_scores_csv(path)
+        assert ids == [] and scores.shape == (0, 3)
 
     def test_scores_rejects_repeated_video(self, tmp_path):
         path = tmp_path / "scores.csv"

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -142,6 +144,12 @@ class TestBackward:
         net = TinyNet(small_config(), make_rng(15))
         with pytest.raises(ValueError, match="cache"):
             net.backward(None, np.array([0]))
+
+    @pytest.mark.parametrize("target", [5, -1])
+    def test_out_of_range_target_rejected(self, target):
+        net = TinyNet(small_config(), make_rng(15))
+        with pytest.raises(ValueError, match="out of range"):
+            net.loss_and_grads(np.zeros((1, 3, 8, 8)), np.array([target]), make_rng(0))
 
 
 def reference_backward(net, cache, targets):
@@ -461,6 +469,74 @@ class TestCheckpoint:
         save_checkpoint(TinyNet(small_config(), make_rng(38)), path)
         path.write_bytes(path.read_bytes()[:-8])
         with pytest.raises(ValueError, match="truncated checkpoint payload"):
+            load_checkpoint(path)
+
+    # sha256 of the checkpoint bytes, recorded before the layer kinds moved
+    # into one table: initialization draws and the MOSN layout stay put.
+    def test_desk_checkpoint_bytes_pinned(self, tmp_path):
+        path = tmp_path / "model.mosn"
+        save_checkpoint(TinyNet(desk_net_config(), make_rng(3)), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "88e8c56e0ea5af492bc1c711ba741d4ce37c5abe1dc051dd8526a173f696ec84"
+        )
+
+    def test_trained_checkpoint_bytes_pinned(self, tmp_path):
+        net = TinyNet(desk_net_config(input_shape=(4, 12, 12), num_classes=3, fc_width=8), make_rng(5))
+        volumes = [[make_rng(10 + 3 * c + i).normal(size=(4, 12, 12)) for i in range(2)] for c in range(3)]
+        train(net, volumes, lambda clip, rng: clip, TrainConfig(max_iter=4, batch_size=3, seed=2))
+        path = tmp_path / "model.mosn"
+        save_checkpoint(net, path, iterations=4)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "4a5ff1207d4fbbe82ded87ad5e083e0795aa9f01ac0bcd1c0732eaa97806d0df"
+        )
+
+    # (input shape, layer specs, the same layers as MOSN descriptors, message)
+    BAD_ARCHITECTURES = [
+        ((2, 6, 6), (object(), FcSpec(3)), [{"type": "lstm"}, {"type": "fc", "width": 3}], "unknown"),
+        (
+            (2, 6, 6),
+            (FcSpec(4), ConvSpec(3), FcSpec(3)),
+            [{"type": "fc", "width": 4}, {"type": "conv", "out_channels": 3, "kernel": 3, "stride": 1, "pad": 1},
+             {"type": "fc", "width": 3}],
+            r"layer 1: convolution needs a \(C, H, W\) input",
+        ),
+        (
+            (2, 6, 6),
+            (FcSpec(4), PoolSpec(), FcSpec(3)),
+            [{"type": "fc", "width": 4}, {"type": "pool"}, {"type": "fc", "width": 3}],
+            r"layer 1: max-pool needs a \(C, H, W\) input",
+        ),
+        (
+            (2, 1, 6),
+            (PoolSpec(), FcSpec(3)),
+            [{"type": "pool"}, {"type": "fc", "width": 3}],
+            "layer 0: max-pool input too small",
+        ),
+        (
+            (2, 3, 3),
+            (ConvSpec(2, kernel=5, pad=0), FcSpec(3)),
+            [{"type": "conv", "out_channels": 2, "kernel": 5, "stride": 1, "pad": 0}, {"type": "fc", "width": 3}],
+            "layer 0: conv kernel 5 larger than padded input",
+        ),
+    ]
+
+    @pytest.mark.parametrize("input_shape, layers, descriptors, message", BAD_ARCHITECTURES)
+    def test_bad_architecture_rejected_by_net_and_checkpoint(self, tmp_path, input_shape, layers, descriptors, message):
+        import json
+        import struct
+
+        with pytest.raises(ValueError, match=message):
+            TinyNet(NetConfig(input_shape=input_shape, num_classes=3, layers=layers), make_rng(40))
+        path = tmp_path / "model.mosn"
+        save_checkpoint(TinyNet(NetConfig(input_shape=(2, 6, 6), num_classes=3, layers=(FcSpec(3),)), make_rng(40)), path)
+        data = path.read_bytes()
+        (blob_len,) = struct.unpack_from("<I", data, 5)
+        header = json.loads(data[9 : 9 + blob_len])
+        header["input_shape"] = list(input_shape)
+        header["layers"] = descriptors
+        blob = json.dumps(header).encode()
+        path.write_bytes(data[:5] + struct.pack("<I", len(blob)) + blob + data[9 + blob_len :])
+        with pytest.raises(ValueError, match=message):
             load_checkpoint(path)
 
     def test_desk_default_shapes(self):
