@@ -8,6 +8,7 @@ parsing failed whenever that is meaningful.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -161,7 +162,8 @@ def read_tensor(path) -> np.ndarray:
     if len(data) < header_end:
         raise FormatError(f"{path}: truncated dimension list at byte {len(data)}")
     dims = struct.unpack_from(f"<{ndim}I", data, 9)
-    count = int(np.prod(dims))
+    # A Python product: an int64 one can wrap to the payload's size.
+    count = math.prod(dims)
     need = count * 4
     if len(data) - header_end != need:
         raise FormatError(

@@ -10,7 +10,7 @@ from typing import Callable
 import numpy as np
 
 from .augment import apply_crop, random_multiscale_crop
-from .formats import ManifestEntry, read_pgm, read_ppm
+from .formats import FormatError, ManifestEntry, read_pgm, read_ppm
 from .fusion import pairs_from_frames
 from .mos import STREAMS, MosParams, stream_of
 from .net import DEFAULT_INPUT_SIDE
@@ -50,7 +50,8 @@ class ClipDataset:
 
 
 def read_clip_frames(clip_dir) -> list[np.ndarray]:
-    """Grayscale float frames from a directory of PGM/PPM files, sorted by name."""
+    """Grayscale float frames from a directory of PGM/PPM files, sorted by
+    name; every frame must have the first frame's size."""
     clip_dir = Path(clip_dir)
     paths = sorted(p for p in clip_dir.iterdir() if p.suffix.lower() in FRAME_SUFFIXES)
     if not paths:
@@ -61,7 +62,17 @@ def read_clip_frames(clip_dir) -> list[np.ndarray]:
             frames.append(read_pgm(p).astype(np.float64))
         else:
             frames.append(to_gray(read_ppm(p)))
+    _check_one_size(paths, frames)
     return frames
+
+
+def _check_one_size(paths, images):
+    """Raise FormatError naming the first file whose image size differs
+    from the clip's first image."""
+    for path, image in zip(paths, images):
+        if image.shape != images[0].shape:
+            (h, w), (h0, w0) = image.shape, images[0].shape
+            raise FormatError(f"{path}: image is {w}x{h}, but {paths[0].name} is {w0}x{h0}")
 
 
 def read_pair_sequence(clip_dir) -> list:
@@ -69,7 +80,8 @@ def read_pair_sequence(clip_dir) -> list:
 
     The stream kind comes from the file names, `<prefix>_NNNN.pgm` with a
     kind's two prefixes from `mos.STREAMS`. Files pair by their index NNNN,
-    and both halves must cover the same indices.
+    and both halves must cover the same indices. Every image must have the
+    size of the clip's first image.
     """
     clip_dir = Path(clip_dir)
     for stream in STREAMS.values():
@@ -81,7 +93,10 @@ def read_pair_sequence(clip_dir) -> list:
         unmatched = sorted(firsts.keys() ^ seconds.keys())
         if unmatched:
             raise ValueError(f"{clip_dir}: {first}_/{second}_ images without a partner at indices {unmatched}")
-        return [stream.pair(read_pgm(firsts[i]), read_pgm(seconds[i])) for i in sorted(firsts)]
+        paths = [p for i in sorted(firsts) for p in (firsts[i], seconds[i])]
+        images = [read_pgm(p) for p in paths]
+        _check_one_size(paths, images)
+        return [stream.pair(first, second) for first, second in zip(images[::2], images[1::2])]
     kinds = " or ".join("{}_/{}_".format(*stream.prefixes) for stream in STREAMS.values())
     raise ValueError(f"no {kinds} PGM pairs in {clip_dir}")
 

@@ -12,6 +12,7 @@ Conventions used across the package:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,13 +62,17 @@ class FlowField:
 
 
 def bilinear_map(img: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Bilinear interpolation of `img` at real coordinate arrays (xs, ys).
+    """Bilinear interpolation of the last two axes of an (..., H, W) image
+    at real coordinate arrays (xs, ys).
 
-    Coordinates outside the raster clamp to the border pixel, so the result
-    is always bounded by the min/max of the source pixels.
+    The image's leading axes broadcast against the coordinates' axes before
+    their last two, so one set of points samples every channel: an
+    (N, C, H, W) image at (N, 1, h, w) points gives (N, C, h, w). Coordinates
+    outside the raster clamp to the border pixel, so the result is always
+    bounded by the min/max of the source pixels.
     """
     img = np.asarray(img, dtype=np.float64)
-    h, w = img.shape
+    *lead, h, w = img.shape
     xc = np.clip(xs, 0.0, float(w - 1))
     yc = np.clip(ys, 0.0, float(h - 1))
     x0 = np.floor(xc).astype(np.intp)
@@ -76,8 +81,13 @@ def bilinear_map(img: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     y1 = np.minimum(y0 + 1, h - 1)
     fx = xc - x0
     fy = yc - y0
-    top = img[y0, x0] * (1.0 - fx) + img[y0, x1] * fx
-    bot = img[y1, x0] * (1.0 - fx) + img[y1, x1] * fx
+    # Flat offsets of the rows y0 and y1 in every image.
+    base = (np.arange(math.prod(lead)) * (h * w)).reshape(*lead, 1, 1) if lead else 0
+    row0 = base + y0 * w
+    row1 = base + y1 * w
+    flat = img.reshape(-1)
+    top = flat.take(row0 + x0) * (1.0 - fx) + flat.take(row0 + x1) * fx
+    bot = flat.take(row1 + x0) * (1.0 - fx) + flat.take(row1 + x1) * fx
     return top * (1.0 - fy) + bot * fy
 
 

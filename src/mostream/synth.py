@@ -119,6 +119,7 @@ def render_clip(cls: MotionClass, spec: SyntheticSpec, rng: Rng) -> list[np.ndar
     """
     h, w = spec.frame_size
     t_count = spec.frames_per_clip
+    gx, gy = np.meshgrid(np.arange(w, dtype=np.float64), np.arange(h, dtype=np.float64))
     if cls.kind == "translate":
         dx, dy = cls.param
         span_x = int(np.ceil(abs(dx) * (t_count - 1)))
@@ -127,11 +128,7 @@ def render_clip(cls: MotionClass, spec: SyntheticSpec, rng: Rng) -> list[np.ndar
         # Window slides by -d per frame; start so every offset stays inside.
         ox = rng_uniform(rng, _PHASE_ROOM + 1) + (span_x if dx > 0 else 0)
         oy = rng_uniform(rng, _PHASE_ROOM + 1) + (span_y if dy > 0 else 0)
-        gx, gy = np.meshgrid(np.arange(w, dtype=np.float64), np.arange(h, dtype=np.float64))
-        frames = []
-        for t in range(t_count):
-            frames.append(_quantize(bilinear_map(canvas, gx + ox - t * dx, gy + oy - t * dy)))
-        return frames
+        return [_quantize(bilinear_map(canvas, gx + ox - t * dx, gy + oy - t * dy)) for t in range(t_count)]
 
     # Rotation and zoom sample the canvas through the inverse affine map
     # about the frame center; the margin absorbs the corner excursions.
@@ -141,7 +138,6 @@ def render_clip(cls: MotionClass, spec: SyntheticSpec, rng: Rng) -> list[np.ndar
     phase_y = rng_uniform(rng, _PHASE_ROOM + 1) - _PHASE_ROOM // 2
     cx = margin + phase_x + (w - 1) / 2.0
     cy = margin + phase_y + (h - 1) / 2.0
-    gx, gy = np.meshgrid(np.arange(w, dtype=np.float64), np.arange(h, dtype=np.float64))
     rel_x = gx - (w - 1) / 2.0
     rel_y = gy - (h - 1) / 2.0
     frames = []

@@ -7,7 +7,9 @@ The solver minimizes the classic TV-L1 energy
 by coarse-to-fine iteration over an image pyramid. At each level it
 alternates a point-wise soft-thresholding step on the linearized data term
 with dual-projection iterations that solve the total-variation denoising
-subproblem, re-warping the second image between passes.
+subproblem, re-warping the second image between passes. Warps sample
+with ``raster.bilinear_map`` and pyramid levels resize with
+``raster.resize_bilinear``.
 
 The solver holds each quantity of N pairs as one ``(N, 2, H, W)`` stack:
 the image pairs (first, second), the flows and their duals (x, then y). A
@@ -28,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.ndimage import gaussian_filter
 
-from .raster import FlowField, GrayImage, resize_bilinear
+from .raster import FlowField, GrayImage, bilinear_map, resize_bilinear
 
 # Coarsest pyramid level must keep at least this many pixels per side.
 MIN_LEVEL_SIDE = 16
@@ -103,35 +105,12 @@ def _pixel_grid(h, w):
     return np.array(np.meshgrid(np.arange(w, dtype=np.float64), np.arange(h, dtype=np.float64)))
 
 
-def _sample(src, at):
-    # Bilinear samples of every channel of src (N, C, H, W) at the points
-    # at (N, 2, H, W), with the arithmetic of `bilinear_map`; the corners
-    # and weights are computed once and shared by the C channels.
-    n, c, h, w = src.shape
-    xc = np.clip(at[:, 0], 0.0, float(w - 1))
-    yc = np.clip(at[:, 1], 0.0, float(h - 1))
-    x0 = np.floor(xc).astype(np.intp)
-    y0 = np.floor(yc).astype(np.intp)
-    x1 = np.minimum(x0 + 1, w - 1)[:, None]
-    y1 = np.minimum(y0 + 1, h - 1)
-    fx = (xc - x0)[:, None]
-    fy = (yc - y0)[:, None]
-    # Flat offsets of (pair, channel, row) in src.
-    base = (np.arange(n) * (c * h * w))[:, None, None, None] + (np.arange(c) * (h * w))[:, None, None]
-    row0 = base + (y0 * w)[:, None]
-    row1 = base + (y1 * w)[:, None]
-    x0 = x0[:, None]
-    flat = src.reshape(-1)
-    top = flat.take(row0 + x0) * (1.0 - fx) + flat.take(row0 + x1) * fx
-    bot = flat.take(row1 + x0) * (1.0 - fx) + flat.take(row1 + x1) * fx
-    return top * (1.0 - fy) + bot * fy
-
-
 def _energy(pairs, grid, flow, lam):
     # Energy of each pair of an (N, 2, H, W) stack; every sum is a
     # contiguous reduction over one pair's pixels, as for a lone pair.
     n = len(flow)
-    warped = _sample(pairs[:, 1:], grid + flow)[:, 0]
+    at = grid + flow
+    warped = bilinear_map(pairs[:, 1], at[:, 0], at[:, 1])
     data = lam * np.abs(warped - pairs[:, 0]).reshape(n, -1).sum(axis=1)
     fx, fy = _forward_gradient(flow)
     tv = np.sqrt(fx * fx + fy * fy).reshape(n, 2, -1).sum(axis=2)
@@ -191,7 +170,8 @@ def _solve_level(pairs, flow, params):
     accepted = _energy(pairs, grid, flow, params.lam)
 
     for _ in range(params.warps_per_level):
-        warped = _sample(src, grid + flow)
+        at = grid + flow
+        warped = bilinear_map(src, at[:, :1], at[:, 1:])
         g = warped[:, 1:]
         grad_sq = g[:, 0] * g[:, 0] + g[:, 1] * g[:, 1]
         # Constant part of the residual linearized at the warp point, the
@@ -295,8 +275,7 @@ def _flows(frames, params):
                 part = np.array([_normalize_pair(frames[t : t + 2]) for t in range(s, end)])
             else:
                 part = pairs[s:end]
-            init = flow[s:end] if (ch, cw) == (lh, lw) else resize_bilinear(flow[s:end], lh, lw) * ratio
-            level[s:end], e = _solve_level(part, init, params)
+            level[s:end], e = _solve_level(part, resize_bilinear(flow[s:end], lh, lw) * ratio, params)
             energies.append(e)
         flow = level
     return flow, np.concatenate(energies, axis=1)

@@ -11,6 +11,7 @@ from mostream.formats import (
     read_pgm,
     read_scores_csv,
     read_tensor,
+    write_pgm,
 )
 from mostream.fusion import PredictParams
 from mostream.mos import MosParams, mos_images
@@ -444,6 +445,40 @@ class TestHostileInputs:
         assert main(["flow", str(data), str(out), "--manifest", str(manifest)]) == 1
         assert_one_line_error(capsys)
         assert sorted(escape.iterdir()) == before
+        assert not out.exists()
+
+    def test_flow_names_a_frame_of_another_size(self, tiny_dataset, tmp_path, capsys):
+        clip = tmp_path / "clip"
+        shutil.copytree(tiny_dataset / read_manifest(tiny_dataset / "manifest.tsv")[0].path, clip)
+        write_pgm(clip / "frame_005.pgm", np.zeros((32, 40), dtype=np.uint8))
+        assert main(["flow", str(clip), str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: "), err
+        assert "frame_005.pgm: image is 40x32, but frame_000.pgm is 32x32" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["predict --samples 1", "predict", "volume", "train"])
+    def test_pairs_name_an_image_of_another_size(self, tiny_dataset, tiny_pairs, tmp_path, capsys, command):
+        # One test clip holds a 16x16 orientation image among 32x32 ones.
+        tree = tmp_path / "pairs"
+        shutil.copytree(tiny_pairs, tree)
+        clip = next(e.path for e in read_manifest(tiny_dataset / "manifest.tsv") if e.split == "test")
+        write_pgm(tree / clip / "ori_0010.pgm", np.zeros((16, 16), dtype=np.uint8))
+        out = tmp_path / "out"
+        if command.startswith("predict"):
+            ckpt = self._checkpoint(tmp_path)
+            code = self._predict(tiny_dataset, tree, ckpt, tmp_path, *command.split()[1:])
+            out = tmp_path / "scores.csv"
+        elif command == "volume":
+            code = main(["volume", str(tree / clip), str(out)])
+        else:
+            code = self._train(tiny_dataset, tree, tmp_path, "--iterations", "1", "--batch-size", "2",
+                               "--input-side", "16")
+            out = tmp_path / "model.mosn"
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: "), err
+        assert "ori_0010.pgm: image is 16x16, but mag_0000.pgm is 32x32" in err
         assert not out.exists()
 
     def test_eval_scores_with_nan(self, tiny_dataset, tmp_path, capsys):

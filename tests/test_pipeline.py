@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mostream.formats import ManifestEntry, read_pgm, write_pgm
+from mostream.formats import FormatError, ManifestEntry, read_pgm, write_pgm
 from mostream.mos import MosPair, XyPair
 from mostream.pipeline import (
     Clip,
@@ -27,6 +27,12 @@ class TestReadClipFrames:
 
     def test_empty_dir_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="no frame files"):
+            read_clip_frames(tmp_path)
+
+    def test_frame_of_another_size_named(self, tmp_path):
+        for t in range(3):
+            write_pgm(tmp_path / f"frame_{t:03d}.pgm", np.zeros((4, 6) if t == 1 else (4, 5), dtype=np.uint8))
+        with pytest.raises(FormatError, match=r"frame_001\.pgm: image is 6x4, but frame_000\.pgm is 5x4"):
             read_clip_frames(tmp_path)
 
 
@@ -57,6 +63,12 @@ class TestReadPairSequence:
         write_pairs(tmp_path / "clip", "mag", "ori", (0, 1), (0, 2))
         with pytest.raises(ValueError, match=r"clip: .*indices \['0001', '0002'\]"):
             read_pair_sequence(tmp_path / "clip")
+
+    def test_image_of_another_size_named(self, tmp_path):
+        write_pairs(tmp_path, "mag", "ori", (0, 1, 2), (0, 1, 2))
+        write_pgm(tmp_path / "ori_0002.pgm", np.zeros((2, 2), dtype=np.uint8))
+        with pytest.raises(FormatError, match=r"ori_0002\.pgm: image is 2x2, but mag_0000\.pgm is 4x4"):
+            read_pair_sequence(tmp_path)
 
     def test_no_pairs_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="no mag_/ori_ or x_/y_ PGM pairs"):

@@ -15,7 +15,7 @@ from mostream.raster import (
 
 
 class TestBilinearSample:
-    """`bilinear_map` at single points."""
+    """`bilinear_map` at single points and on stacks."""
 
     def test_midpoint(self):
         img = np.array([[0.0, 10.0], [0.0, 10.0]])
@@ -43,6 +43,49 @@ class TestBilinearSample:
         img = make_rng(seed).random((3, 4))
         value = bilinear_map(img, x, y)
         assert img.min() - 1e-12 <= value <= img.max() + 1e-12
+
+    def test_stacked_images_equal_per_image_calls(self):
+        # Points reach 3 px past every side of the 6x7 raster.
+        rng = make_rng(6)
+        img = rng.random((3, 4, 6, 7)) * 255
+        xs = rng.uniform(-3.0, 9.0, (3, 1, 6, 7))
+        ys = rng.uniform(-3.0, 8.0, (3, 1, 6, 7))
+        assert (xs < 0).any() and (xs > 6).any() and (ys < 0).any() and (ys > 5).any()
+        out = bilinear_map(img, xs, ys)
+        assert out.shape == img.shape
+        for n in range(3):
+            for c in range(4):
+                assert np.array_equal(out[n, c], bilinear_map(img[n, c], xs[n, 0], ys[n, 0])), (n, c)
+
+    def test_point_stack_equals_per_frame_calls(self):
+        rng = make_rng(7)
+        img = rng.random((9, 11))
+        xs = rng.uniform(-2.0, 12.0, (5, 4, 3))
+        ys = rng.uniform(-2.0, 10.0, (5, 4, 3))
+        out = bilinear_map(img, xs, ys)
+        assert out.shape == (5, 4, 3)
+        for t in range(5):
+            assert np.array_equal(out[t], bilinear_map(img, xs[t], ys[t])), t
+
+    @given(st.integers(1, 9), st.integers(1, 9), st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_equals_fancy_index_reference(self, h, w, seed):
+        rng = make_rng(seed)
+        img = rng.normal(size=(h, w)) * 100
+        xs = rng.uniform(-2.0, w + 1.0, (5, 6))
+        ys = rng.uniform(-2.0, h + 1.0, (5, 6))
+        # The body `bilinear_map` had before it gathered through flat offsets.
+        xc = np.clip(xs, 0.0, float(w - 1))
+        yc = np.clip(ys, 0.0, float(h - 1))
+        x0 = np.floor(xc).astype(np.intp)
+        y0 = np.floor(yc).astype(np.intp)
+        x1 = np.minimum(x0 + 1, w - 1)
+        y1 = np.minimum(y0 + 1, h - 1)
+        fx = xc - x0
+        fy = yc - y0
+        top = img[y0, x0] * (1.0 - fx) + img[y0, x1] * fx
+        bot = img[y1, x0] * (1.0 - fx) + img[y1, x1] * fx
+        assert np.array_equal(bilinear_map(img, xs, ys), top * (1.0 - fy) + bot * fy)
 
 
 class TestResize:
