@@ -1,19 +1,24 @@
 """Command-line interface chaining the pipeline stages.
 
-Subcommands: flow, mos, volume, synth, train, predict, fuse, eval, viz.
-Every stage is deterministic given --seed; exit status is 0 on success,
-1 on pipeline errors, 2 on usage errors.
+Subcommands: flow, mos, volume, synth, train, predict, fuse, eval, viz,
+experiment. Every stage is deterministic given --seed; exit status is 0 on
+success, 1 on pipeline errors, 2 on usage errors.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import dataclasses
 import sys
+import tempfile
+import typing
 from pathlib import Path
 
 import numpy as np
 
 from . import formats, net, pipeline, synth
+from .experiment import ExperimentConfig, run_desk_experiment
 from .fusion import (
     DEFAULT_TEST_SAMPLES,
     PredictParams,
@@ -24,30 +29,38 @@ from .fusion import (
     fuse,
     predict_from_pairs,
 )
-from .mos import DEFAULT_MAG_THRESHOLD, DEFAULT_STREAM, MAG_BOUNDS, ORI_BOUNDS, STREAMS, MosParams
+from .mos import DEFAULT_STREAM, MAG_BOUNDS, ORI_BOUNDS, STREAMS, MosParams
 from .raster import RescaleBounds, make_rng
 from .tvl1 import Tvl1Params, video_flows
 from .volume import DEFAULT_STACK_LENGTH, StackSpec, stack_volume
 
+# The flags not named after their fields keep the CLI's established names.
+_FLAG_NAMES = {"lam": "flow-lambda", "warps_per_level": "warps", "max_iter": "iterations"}
 
-def _tvl1_params(args):
-    return Tvl1Params(
-        lam=args.flow_lambda,
-        tv_theta=args.tv_theta,
-        tau=args.tau,
-        pyramid_scale=args.pyramid_scale,
-        levels=args.levels,
-        warps_per_level=args.warps,
-        inner_iterations=args.inner_iterations,
-        stop_epsilon=args.stop_epsilon,
-    )
+
+def _add_fields(parser, cls, *names):
+    """One flag per int/float field of the dataclass `cls` (only `names`, if
+    given), with the field's type and default; the field name is its dest."""
+    types = typing.get_type_hints(cls)
+    for f in dataclasses.fields(cls):
+        if types[f.name] in (int, float) and (not names or f.name in names):
+            flag = _FLAG_NAMES.get(f.name, f.name.replace("_", "-"))
+            parser.add_argument(f"--{flag}", dest=f.name, type=types[f.name], default=f.default,
+                                help=f"{cls.__name__}.{f.name} (default %(default)s)")
+
+
+def _config(cls, args, **given):
+    """`cls` built from the parsed values named after its fields, then `given`."""
+    parsed = {f.name: getattr(args, f.name) for f in dataclasses.fields(cls) if hasattr(args, f.name)}
+    return cls(**{**parsed, **given})
 
 
 def _mos_params(args):
-    return MosParams(
+    return _config(
+        MosParams,
+        args,
         mag_bounds=RescaleBounds(args.mag_low, args.mag_high),
         ori_bounds=RescaleBounds(args.ori_low, args.ori_high),
-        mag_threshold=args.mag_threshold,
     )
 
 
@@ -61,7 +74,7 @@ def _clip_dirs(args):
 
 
 def cmd_flow(args):
-    params = _tvl1_params(args)
+    params = _config(Tvl1Params, args)
     out_root = Path(args.output)
     for rel, clip_dir in _clip_dirs(args):
         frames = pipeline.read_clip_frames(clip_dir)
@@ -91,7 +104,7 @@ def cmd_mos(args):
 
 
 def cmd_volume(args):
-    spec = StackSpec(args.stack_length)
+    spec = _config(StackSpec, args)
     out_root = Path(args.output)
     for rel, clip_dir in _clip_dirs(args):
         pairs = pipeline.read_pair_sequence(clip_dir)
@@ -108,15 +121,13 @@ def cmd_volume(args):
 
 
 def _synthetic_spec(args):
-    return synth.SyntheticSpec(
+    return _config(
+        synth.SyntheticSpec,
+        args,
         frame_size=(args.frame_size, args.frame_size),
-        frames_per_clip=args.frames_per_clip,
-        clips_per_class=args.clips_per_class,
         speeds=tuple(float(s) for s in args.speeds.split(",")),
         directions=tuple(args.directions.split(",")),
         motions=tuple(args.motions.split(",")),
-        train_fraction=args.train_fraction,
-        stack_length=args.stack_length,
     )
 
 
@@ -136,19 +147,6 @@ def _net_config(args, num_classes):
     )
 
 
-def _train_config(args):
-    return net.TrainConfig(
-        base_lr=args.base_lr,
-        lr_step=args.lr_step,
-        lr_factor=args.lr_factor,
-        max_iter=args.iterations,
-        momentum=args.momentum,
-        weight_decay=args.weight_decay,
-        batch_size=args.batch_size,
-        seed=args.seed,
-    )
-
-
 def _check_stack_fits(clips, length):
     for clip in clips:
         if len(clip.pairs) < length:
@@ -158,7 +156,7 @@ def _check_stack_fits(clips, length):
 def cmd_train(args):
     entries = formats.read_manifest(args.manifest)
     config = _net_config(args, len(formats.manifest_classes(entries)))
-    cfg = _train_config(args)
+    cfg = _config(net.TrainConfig, args)
     train_pipe = pipeline.TrainPipeline(stack=StackSpec(args.stack_length), out_side=args.input_side)
     dataset = pipeline.load_pair_dataset(entries, args.pairs)
     _check_stack_fits([c for group in dataset.train_by_class for c in group], args.stack_length)
@@ -281,6 +279,27 @@ def cmd_viz(args):
     return 0
 
 
+def cmd_experiment(args):
+    cfg = _config(ExperimentConfig, args)
+    with contextlib.nullcontext(args.workdir) if args.workdir else tempfile.TemporaryDirectory() as work:
+        result = run_desk_experiment(Path(work), cfg, progress=print)
+    full = result.full
+    print()
+    print(f"classes ({len(result.classes)}): {', '.join(result.classes)}")
+    print(f"full input accuracy:        {full.accuracy * 100:6.2f}%  (class mean {full.class_mean * 100:.2f}%)")
+    print(f"orientation-only accuracy:  {result.orientation_only.accuracy * 100:6.2f}%")
+    print(f"ablation gap:               {result.ablation_gap:6.2f} points")
+    print()
+    print(f"timings: synth {result.synth_seconds:.1f}s | flow/byte pairs {result.pairs_seconds:.1f}s | "
+          f"train {full.train_seconds:.1f}s | predict {full.predict_seconds:.1f}s")
+    print(f"primary pipeline total: {result.full_pipeline_seconds:.1f}s")
+    print()
+    print("confusion (full input, rows = true class):")
+    for label, row in zip(result.classes, full.confusion):
+        print(f"  {label:>10s}  " + " ".join(f"{int(v):3d}" for v in row))
+    return 0
+
+
 def build_parser():
     parser = argparse.ArgumentParser(prog="mostream", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -289,14 +308,7 @@ def build_parser():
     p.add_argument("input")
     p.add_argument("output")
     p.add_argument("--manifest", help="process every clip listed in this manifest")
-    p.add_argument("--flow-lambda", type=float, default=Tvl1Params.lam, help="data attachment weight")
-    p.add_argument("--tv-theta", type=float, default=Tvl1Params.tv_theta)
-    p.add_argument("--tau", type=float, default=Tvl1Params.tau)
-    p.add_argument("--pyramid-scale", type=float, default=Tvl1Params.pyramid_scale)
-    p.add_argument("--levels", type=int, default=Tvl1Params.levels)
-    p.add_argument("--warps", type=int, default=Tvl1Params.warps_per_level)
-    p.add_argument("--inner-iterations", type=int, default=Tvl1Params.inner_iterations)
-    p.add_argument("--stop-epsilon", type=float, default=Tvl1Params.stop_epsilon)
+    _add_fields(p, Tvl1Params)
     p.set_defaults(func=cmd_flow)
 
     p = sub.add_parser("mos", help=".flo files -> byte-image PGM pairs")
@@ -308,27 +320,24 @@ def build_parser():
     p.add_argument("--mag-high", type=float, default=MAG_BOUNDS.high)
     p.add_argument("--ori-low", type=float, default=ORI_BOUNDS.low)
     p.add_argument("--ori-high", type=float, default=ORI_BOUNDS.high)
-    p.add_argument("--mag-threshold", type=int, default=DEFAULT_MAG_THRESHOLD)
+    _add_fields(p, MosParams)
     p.set_defaults(func=cmd_mos)
 
     p = sub.add_parser("volume", help="PGM pairs -> stacked tensor files")
     p.add_argument("input")
     p.add_argument("output")
     p.add_argument("--manifest")
-    p.add_argument("--stack-length", type=int, default=DEFAULT_STACK_LENGTH)
+    _add_fields(p, StackSpec)
     p.set_defaults(func=cmd_volume)
 
     p = sub.add_parser("synth", help="generate a synthetic moving-texture dataset")
     p.add_argument("output")
     p.add_argument("--seed", type=int, default=net.TrainConfig.seed)
     p.add_argument("--frame-size", type=int, default=synth.SyntheticSpec.frame_size[0])
-    p.add_argument("--frames-per-clip", type=int, default=synth.SyntheticSpec.frames_per_clip)
-    p.add_argument("--clips-per-class", type=int, default=synth.SyntheticSpec.clips_per_class)
     p.add_argument("--speeds", default=",".join(map(str, synth.SyntheticSpec.speeds)))
     p.add_argument("--directions", default=",".join(synth.SyntheticSpec.directions))
     p.add_argument("--motions", default=",".join(synth.SyntheticSpec.motions))
-    p.add_argument("--train-fraction", type=float, default=synth.SyntheticSpec.train_fraction)
-    p.add_argument("--stack-length", type=int, default=synth.SyntheticSpec.stack_length)
+    _add_fields(p, synth.SyntheticSpec)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("train", help="manifest + byte-pair tree -> checkpoint + loss CSV")
@@ -336,14 +345,7 @@ def build_parser():
     p.add_argument("--pairs", required=True, help="tree written by `mos --manifest`")
     p.add_argument("--output", required=True, help="checkpoint path")
     p.add_argument("--loss-csv")
-    p.add_argument("--seed", type=int, default=net.TrainConfig.seed)
-    p.add_argument("--iterations", type=int, default=net.TrainConfig.max_iter)
-    p.add_argument("--batch-size", type=int, default=net.TrainConfig.batch_size)
-    p.add_argument("--base-lr", type=float, default=net.TrainConfig.base_lr)
-    p.add_argument("--lr-step", type=int, default=net.TrainConfig.lr_step)
-    p.add_argument("--lr-factor", type=float, default=net.TrainConfig.lr_factor)
-    p.add_argument("--momentum", type=float, default=net.TrainConfig.momentum)
-    p.add_argument("--weight-decay", type=float, default=net.TrainConfig.weight_decay)
+    _add_fields(p, net.TrainConfig)
     p.add_argument("--dropout", type=float, default=net.DEFAULT_DROPOUT)
     p.add_argument("--fc-width", type=int, default=net.DEFAULT_FC_WIDTH)
     p.add_argument("--stack-length", type=int, default=DEFAULT_STACK_LENGTH)
@@ -379,6 +381,12 @@ def build_parser():
     p.add_argument("output")
     p.add_argument("--max-mag", type=float, default=None)
     p.set_defaults(func=cmd_viz)
+
+    p = sub.add_parser("experiment", help="desk experiment: synth, flow, train and test both input variants")
+    p.add_argument("--workdir", help="where to put the dataset (default: a temporary directory)")
+    _add_fields(p, ExperimentConfig, "seed", "clips_per_class", "iterations", "batch_size", "input_side",
+                "test_samples")
+    p.set_defaults(func=cmd_experiment)
 
     return parser
 

@@ -51,7 +51,6 @@ class VariantResult:
     accuracy: float
     class_mean: float
     confusion: np.ndarray
-    final_loss: float
     train_seconds: float
     predict_seconds: float
 
@@ -95,27 +94,13 @@ def orientation_only_dataset(dataset: ClipDataset) -> ClipDataset:
     )
 
 
-def _train_and_eval(dataset: ClipDataset, cfg: ExperimentConfig) -> VariantResult:
-    config = net.desk_net_config(
-        input_shape=(2 * cfg.stack_length, cfg.input_side, cfg.input_side),
-        num_classes=dataset.num_classes,
-    )
-    model = net.TinyNet(config, make_rng(cfg.seed))
-    train_cfg = net.TrainConfig(
-        max_iter=cfg.iterations,
-        batch_size=cfg.batch_size,
-        seed=cfg.seed,
-    )
-    pipe = TrainPipeline(stack=StackSpec(cfg.stack_length), out_side=cfg.input_side)
+def _train_and_eval(
+    model: net.TinyNet, dataset: ClipDataset, train_cfg: net.TrainConfig, pipe: TrainPipeline, params: PredictParams
+) -> VariantResult:
     t0 = time.perf_counter()
-    curve = net.train(model, dataset.train_by_class, pipe.make_volume, train_cfg)
+    net.train(model, dataset.train_by_class, pipe.make_volume, train_cfg)
     train_seconds = time.perf_counter() - t0
 
-    params = PredictParams(
-        stack=StackSpec(cfg.stack_length),
-        k_samples=cfg.test_samples,
-        out_side=cfg.input_side,
-    )
     t0 = time.perf_counter()
     predictions = [
         predict_from_pairs(model, clip.pairs, params, clip.video_id)
@@ -128,7 +113,6 @@ def _train_and_eval(dataset: ClipDataset, cfg: ExperimentConfig) -> VariantResul
         accuracy=report.accuracy,
         class_mean=report.class_mean,
         confusion=report.confusion,
-        final_loss=curve[-1][2] if curve else float("nan"),
         train_seconds=train_seconds,
         predict_seconds=predict_seconds,
     )
@@ -136,12 +120,27 @@ def _train_and_eval(dataset: ClipDataset, cfg: ExperimentConfig) -> VariantResul
 
 def run_desk_experiment(work_dir, cfg: ExperimentConfig = ExperimentConfig(), progress=None) -> ExperimentResult:
     work_dir = Path(work_dir)
+    # Every setting is checked before the flow stage, which dominates the run.
+    if cfg.clips_per_class < 2:
+        raise ValueError(f"clips_per_class must be >= 2 to leave a test clip, got {cfg.clips_per_class}")
     spec = SyntheticSpec(
         frame_size=(cfg.frame_size, cfg.frame_size),
         frames_per_clip=cfg.frames_per_clip,
         clips_per_class=cfg.clips_per_class,
         stack_length=cfg.stack_length,
     )
+    net_config = net.desk_net_config(
+        input_shape=(2 * cfg.stack_length, cfg.input_side, cfg.input_side),
+        num_classes=len(spec.classes()),
+    )
+    train_cfg = net.TrainConfig(max_iter=cfg.iterations, batch_size=cfg.batch_size, seed=cfg.seed)
+    stack = StackSpec(cfg.stack_length)
+    pipe = TrainPipeline(stack=stack, out_side=cfg.input_side)
+    params = PredictParams(stack=stack, k_samples=cfg.test_samples, out_side=cfg.input_side)
+    # Each variant trains a fresh model from the seed's weights. The first is
+    # built here, so its layer shapes are checked before the flow stage too.
+    model = net.TinyNet(net_config, make_rng(cfg.seed))
+
     t0 = time.perf_counter()
     entries = gen_synthetic(spec, make_rng(cfg.seed), work_dir / "data")
     synth_seconds = time.perf_counter() - t0
@@ -159,13 +158,14 @@ def run_desk_experiment(work_dir, cfg: ExperimentConfig = ExperimentConfig(), pr
     if progress:
         progress(f"flow/byte pairs for {len(entries)} clips ({pairs_seconds:.1f}s)")
 
-    full = _train_and_eval(dataset, cfg)
+    full = _train_and_eval(model, dataset, train_cfg, pipe, params)
     if progress:
         progress(
             f"full input: accuracy {full.accuracy * 100:.1f}% "
             f"(train {full.train_seconds:.1f}s, predict {full.predict_seconds:.1f}s)"
         )
-    ablation = _train_and_eval(orientation_only_dataset(dataset), cfg)
+    model = net.TinyNet(net_config, make_rng(cfg.seed))
+    ablation = _train_and_eval(model, orientation_only_dataset(dataset), train_cfg, pipe, params)
     if progress:
         progress(
             f"orientation-only: accuracy {ablation.accuracy * 100:.1f}% "

@@ -595,6 +595,9 @@ def load_checkpoint(path) -> tuple[TinyNet, dict]:
         )
         if header["stream"] not in STREAMS:
             raise ValueError(f"{path}: unknown stream kind {header['stream']!r}")
+        iterations = header["iterations"]
+        if type(iterations) is not int or iterations < 0:
+            raise ValueError(f"{path}: iterations must be a non-negative integer, got {iterations!r}")
         # The table and the payload size are checked against the shapes the
         # architecture implies before any parameter array is allocated.
         table = [

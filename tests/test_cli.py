@@ -1,10 +1,15 @@
+import argparse
+import dataclasses
+import json
 import shutil
+import struct
 
 import numpy as np
 import pytest
 
 from mostream import cli, fusion, mos, pipeline, tvl1
 from mostream.cli import main
+from mostream.experiment import ExperimentConfig
 from mostream.formats import (
     read_flo,
     read_manifest,
@@ -106,8 +111,8 @@ class TestDefaults:
 def _built_from_defaults(args):
     """The objects a subcommand builds from its parsed flags."""
     built = {}
-    if hasattr(args, "flow_lambda"):
-        built["tvl1"] = cli._tvl1_params(args)
+    if hasattr(args, "lam"):
+        built["tvl1"] = cli._config(Tvl1Params, args)
     if hasattr(args, "mag_low"):
         built["mos"] = cli._mos_params(args)
     if args.command == "volume":
@@ -115,7 +120,7 @@ def _built_from_defaults(args):
     if args.command == "synth":
         built["synth"] = cli._synthetic_spec(args)
     if args.command == "train":
-        built["train"] = cli._train_config(args)
+        built["train"] = cli._config(TrainConfig, args)
         built["net"] = cli._net_config(args, 8)
     if args.command == "predict":
         built["predict"] = PredictParams(k_samples=args.samples)
@@ -142,6 +147,107 @@ def _built_from_defaults(args):
 )
 def test_flag_defaults_equal_library_defaults(argv, expected):
     assert _built_from_defaults(cli.build_parser().parse_args(argv)) == expected
+
+
+# Every option string of the subcommands that take settings. `experiment`
+# takes the flags of the desk-experiment script it replaced.
+FLAG_SURFACE = {
+    "flow": ["--manifest", "--flow-lambda", "--tv-theta", "--tau", "--pyramid-scale", "--levels", "--warps",
+             "--inner-iterations", "--stop-epsilon"],
+    "mos": ["--manifest", "--mode", "--mag-low", "--mag-high", "--ori-low", "--ori-high", "--mag-threshold"],
+    "volume": ["--manifest", "--stack-length"],
+    "synth": ["--seed", "--frame-size", "--frames-per-clip", "--clips-per-class", "--speeds", "--directions",
+              "--motions", "--train-fraction", "--stack-length"],
+    "train": ["--manifest", "--pairs", "--output", "--loss-csv", "--seed", "--iterations", "--batch-size",
+              "--base-lr", "--lr-step", "--lr-factor", "--momentum", "--weight-decay", "--dropout", "--fc-width",
+              "--stack-length", "--input-side", "--verbose"],
+    "predict": ["--manifest", "--pairs", "--checkpoint", "--output", "--samples", "--split", "--verbose"],
+    "experiment": ["--workdir", "--seed", "--clips-per-class", "--iterations", "--batch-size", "--input-side",
+                   "--test-samples"],
+}
+COMMANDS = ["flow", "mos", "volume", "synth", "train", "predict", "fuse", "eval", "viz", "experiment"]
+
+
+@pytest.mark.parametrize("command", FLAG_SURFACE)
+def test_flag_surface(command):
+    sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    options = {o for action in sub.choices[command]._actions for o in action.option_strings}
+    assert options == {"-h", "--help", *FLAG_SURFACE[command]}
+
+
+# (command, flag, a valid non-default value, the config it sets, the field).
+GENERATED_FLAGS = [
+    ("flow", "--flow-lambda", "0.2", Tvl1Params, "lam"),
+    ("flow", "--tv-theta", "0.4", Tvl1Params, "tv_theta"),
+    ("flow", "--tau", "0.2", Tvl1Params, "tau"),
+    ("flow", "--pyramid-scale", "0.6", Tvl1Params, "pyramid_scale"),
+    ("flow", "--levels", "3", Tvl1Params, "levels"),
+    ("flow", "--warps", "7", Tvl1Params, "warps_per_level"),
+    ("flow", "--inner-iterations", "12", Tvl1Params, "inner_iterations"),
+    ("flow", "--stop-epsilon", "0.02", Tvl1Params, "stop_epsilon"),
+    ("mos", "--mag-threshold", "100", MosParams, "mag_threshold"),
+    ("volume", "--stack-length", "7", StackSpec, "stack_length"),
+    ("synth", "--frames-per-clip", "14", SyntheticSpec, "frames_per_clip"),
+    ("synth", "--clips-per-class", "5", SyntheticSpec, "clips_per_class"),
+    ("synth", "--train-fraction", "0.6", SyntheticSpec, "train_fraction"),
+    ("synth", "--stack-length", "8", SyntheticSpec, "stack_length"),
+    ("train", "--seed", "3", TrainConfig, "seed"),
+    ("train", "--iterations", "9", TrainConfig, "max_iter"),
+    ("train", "--batch-size", "4", TrainConfig, "batch_size"),
+    ("train", "--base-lr", "0.01", TrainConfig, "base_lr"),
+    ("train", "--lr-step", "100", TrainConfig, "lr_step"),
+    ("train", "--lr-factor", "0.5", TrainConfig, "lr_factor"),
+    ("train", "--momentum", "0.8", TrainConfig, "momentum"),
+    ("train", "--weight-decay", "0.001", TrainConfig, "weight_decay"),
+    ("experiment", "--seed", "3", ExperimentConfig, "seed"),
+    ("experiment", "--clips-per-class", "5", ExperimentConfig, "clips_per_class"),
+    ("experiment", "--iterations", "9", ExperimentConfig, "iterations"),
+    ("experiment", "--batch-size", "4", ExperimentConfig, "batch_size"),
+    ("experiment", "--input-side", "24", ExperimentConfig, "input_side"),
+    ("experiment", "--test-samples", "3", ExperimentConfig, "test_samples"),
+]
+POSITIONALS = {"flow": ["i", "o"], "mos": ["i", "o"], "volume": ["i", "o"], "synth": ["o"],
+               "train": ["--manifest", "m", "--pairs", "p", "--output", "o"], "experiment": []}
+
+
+@pytest.mark.parametrize("command, flag, value, cls, name", GENERATED_FLAGS,
+                         ids=[f"{c}{f}" for c, f, *_ in GENERATED_FLAGS])
+def test_generated_flag_sets_exactly_its_field(command, flag, value, cls, name):
+    build = {MosParams: cli._mos_params, SyntheticSpec: cli._synthetic_spec}.get(cls, lambda a: cli._config(cls, a))
+    parser = cli.build_parser()
+    base = build(parser.parse_args([command, *POSITIONALS[command]]))
+    built = build(parser.parse_args([command, *POSITIONALS[command], flag, value]))
+    assert base == cls()
+    changed = {f.name for f in dataclasses.fields(cls) if getattr(built, f.name) != getattr(base, f.name)}
+    assert changed == {name}
+    assert getattr(built, name) == type(getattr(base, name))(value)
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_help_exits_zero(command, capsys):
+    assert main([command, "--help"]) == 0
+    assert capsys.readouterr().out.startswith(f"usage: mostream {command}")
+
+
+def test_experiment_runs_end_to_end(tmp_path, capsys):
+    argv = ["experiment", "--workdir", str(tmp_path), "--clips-per-class", "2", "--iterations", "2",
+            "--test-samples", "1", "--input-side", "16"]
+    assert main(argv) == 0
+    assert "primary pipeline total:" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--test-samples", "0"), ("--iterations", "-1"), ("--batch-size", "0"), ("--input-side", "0"),
+     ("--input-side", "2"), ("--clips-per-class", "1")],
+)
+def test_experiment_bad_setting_fails_before_synth(tmp_path, capsys, flag, value):
+    work = tmp_path / "work"
+    assert main(["experiment", "--workdir", str(work), "--clips-per-class", "2", flag, value]) == 1
+    out, err = capsys.readouterr()
+    assert err.count("\n") == 1 and err.startswith("error: "), err
+    assert "synth:" not in out
+    assert not work.exists()
 
 
 FLOW_FLAGS = ["--mode", "--flow-lambda", "--tv-theta", "--tau", "--pyramid-scale", "--levels", "--warps",
@@ -546,6 +652,21 @@ class TestHostileInputs:
         self._forbid_reading_pairs(monkeypatch)
         assert self._predict(tiny_dataset, tiny_pairs, ckpt, tmp_path) == 1
         assert_one_line_error(capsys)
+
+    def test_predict_checkpoint_negative_iterations(self, tiny_dataset, tiny_pairs, tmp_path, monkeypatch,
+                                                     capsys):
+        ckpt = self._checkpoint(tmp_path)
+        data = ckpt.read_bytes()
+        (blob_len,) = struct.unpack_from("<I", data, 5)
+        header = json.loads(data[9 : 9 + blob_len])
+        header["iterations"] = -1
+        blob = json.dumps(header).encode("utf-8")
+        ckpt.write_bytes(data[:5] + struct.pack("<I", len(blob)) + blob + data[9 + blob_len :])
+        self._forbid_reading_pairs(monkeypatch)
+        assert self._predict(tiny_dataset, tiny_pairs, ckpt, tmp_path) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith(f"error: {ckpt}: iterations "), err
+        assert not (tmp_path / "scores.csv").exists()
 
     def test_predict_bad_samples_before_flow_work(self, tiny_dataset, tiny_pairs, tmp_path, monkeypatch,
                                                   capsys):

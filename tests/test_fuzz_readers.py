@@ -168,6 +168,23 @@ def test_mosn_header_field_edits_raise_only_value_error(tmp_path, part):
     assert _escapes(load_checkpoint, path, variants()) == []
 
 
+@pytest.mark.parametrize("value", [None, float("nan"), "x", [1], {"a": 1}, -1, True, 2.5, 0, 7], ids=repr)
+def test_mosn_iterations_must_be_a_non_negative_int(tmp_path, value):
+    path = tmp_path / "model.mosn"
+    save_checkpoint(TinyNet(NetConfig(input_shape=(2, 4, 4), num_classes=2, layers=(FcSpec(2),)), make_rng(54)), path)
+    data = path.read_bytes()
+    (blob_len,) = struct.unpack_from("<I", data, 5)
+    header = json.loads(data[9 : 9 + blob_len])
+    header["iterations"] = value
+    blob = json.dumps(header).encode("utf-8")
+    path.write_bytes(data[:5] + struct.pack("<I", len(blob)) + blob + data[9 + blob_len :])
+    if value in (0, 7) and not isinstance(value, bool):
+        assert load_checkpoint(path)[1]["iterations"] == value
+    else:
+        with pytest.raises(ValueError, match=f"{path}: iterations must be a non-negative integer"):
+            load_checkpoint(path)
+
+
 # Three u32 dims whose product, 6 * 2**64 + 24, wraps in int64 to the 24
 # values of a (2, 3, 4) payload.
 WRAPS_TO_24 = [1539092, 1484310, 48448661]

@@ -16,11 +16,3 @@ def run_script(name, *args):
 def test_flow_accuracy_check():
     out = run_script("flow_accuracy_check.py", "--pairs", "2", "--size", "48")
     assert "oracle exact on 2/2 pairs" in out, out
-
-
-def test_run_synthetic_benchmark(tmp_path):
-    out = run_script(
-        "run_synthetic_benchmark.py", "--workdir", str(tmp_path), "--clips-per-class", "2", "--iterations", "2",
-        "--test-samples", "1", "--input-side", "16",
-    )
-    assert "primary pipeline total:" in out, out
