@@ -95,8 +95,10 @@ def orientation_only_dataset(dataset: ClipDataset) -> ClipDataset:
 
 
 def _train_and_eval(
-    model: net.TinyNet, dataset: ClipDataset, train_cfg: net.TrainConfig, pipe: TrainPipeline, params: PredictParams
+    config: net.NetConfig, dataset: ClipDataset, train_cfg: net.TrainConfig, pipe: TrainPipeline, params: PredictParams
 ) -> VariantResult:
+    # Each variant trains a fresh model from the seed's weights.
+    model = net.TinyNet(config, make_rng(train_cfg.seed))
     t0 = time.perf_counter()
     net.train(model, dataset.train_by_class, pipe.make_volume, train_cfg)
     train_seconds = time.perf_counter() - t0
@@ -137,9 +139,6 @@ def run_desk_experiment(work_dir, cfg: ExperimentConfig = ExperimentConfig(), pr
     stack = StackSpec(cfg.stack_length)
     pipe = TrainPipeline(stack=stack, out_side=cfg.input_side)
     params = PredictParams(stack=stack, k_samples=cfg.test_samples, out_side=cfg.input_side)
-    # Each variant trains a fresh model from the seed's weights. The first is
-    # built here, so its layer shapes are checked before the flow stage too.
-    model = net.TinyNet(net_config, make_rng(cfg.seed))
 
     t0 = time.perf_counter()
     entries = gen_synthetic(spec, make_rng(cfg.seed), work_dir / "data")
@@ -158,14 +157,13 @@ def run_desk_experiment(work_dir, cfg: ExperimentConfig = ExperimentConfig(), pr
     if progress:
         progress(f"flow/byte pairs for {len(entries)} clips ({pairs_seconds:.1f}s)")
 
-    full = _train_and_eval(model, dataset, train_cfg, pipe, params)
+    full = _train_and_eval(net_config, dataset, train_cfg, pipe, params)
     if progress:
         progress(
             f"full input: accuracy {full.accuracy * 100:.1f}% "
             f"(train {full.train_seconds:.1f}s, predict {full.predict_seconds:.1f}s)"
         )
-    model = net.TinyNet(net_config, make_rng(cfg.seed))
-    ablation = _train_and_eval(model, orientation_only_dataset(dataset), train_cfg, pipe, params)
+    ablation = _train_and_eval(net_config, orientation_only_dataset(dataset), train_cfg, pipe, params)
     if progress:
         progress(
             f"orientation-only: accuracy {ablation.accuracy * 100:.1f}% "

@@ -84,6 +84,7 @@ class NetConfig:
             raise ValueError(f"input_shape must be a positive (C, H, W), got {self.input_shape}")
         if self.num_classes < 2:
             raise ValueError(f"need at least 2 classes, got {self.num_classes}")
+        _architecture(self)  # every layer's shapes chain to num_classes outputs
 
 
 def desk_net_config(

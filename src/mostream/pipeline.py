@@ -75,22 +75,34 @@ def _check_one_size(paths, images):
             raise FormatError(f"{path}: image is {w}x{h}, but {paths[0].name} is {w0}x{h0}")
 
 
+def _indexed(clip_dir, prefix):
+    # {integer index: path} of a clip's `<prefix>_NNNN.pgm` files.
+    out = {}
+    for p in sorted(clip_dir.glob(f"{prefix}_*.pgm")):
+        digits = p.stem[len(prefix) + 1 :]
+        if not (digits.isascii() and digits.isdigit()):
+            raise ValueError(f"{clip_dir}: {p.name} has no integer index")
+        if out.setdefault(int(digits), p) != p:
+            raise ValueError(f"{clip_dir}: {out[int(digits)].name} and {p.name} share index {int(digits)}")
+    return out
+
+
 def read_pair_sequence(clip_dir) -> list:
     """Byte-image pairs from a directory `mostream mos` wrote, in index order.
 
     The stream kind comes from the file names, `<prefix>_NNNN.pgm` with a
-    kind's two prefixes from `mos.STREAMS`. Files pair by their index NNNN,
-    and both halves must cover the same indices. Every image must have the
-    size of the clip's first image.
+    kind's two prefixes from `mos.STREAMS`. Files pair and are ordered by
+    the integer value of their index NNNN, and both halves must cover the
+    same indices. Every image must have the size of the clip's first image.
     """
     clip_dir = Path(clip_dir)
     for stream in STREAMS.values():
         first, second = stream.prefixes
-        firsts = {p.stem[len(first) + 1 :]: p for p in clip_dir.glob(f"{first}_*.pgm")}
+        firsts = _indexed(clip_dir, first)
         if not firsts:
             continue
-        seconds = {p.stem[len(second) + 1 :]: p for p in clip_dir.glob(f"{second}_*.pgm")}
-        unmatched = sorted(firsts.keys() ^ seconds.keys())
+        seconds = _indexed(clip_dir, second)
+        unmatched = [f"{i:04d}" for i in sorted(firsts.keys() ^ seconds.keys())]
         if unmatched:
             raise ValueError(f"{clip_dir}: {first}_/{second}_ images without a partner at indices {unmatched}")
         paths = [p for i in sorted(firsts) for p in (firsts[i], seconds[i])]

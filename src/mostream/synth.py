@@ -72,6 +72,12 @@ class SyntheticSpec:
         bad = set(self.directions) - set(DIRECTIONS)
         if bad:
             raise ValueError(f"unknown directions {sorted(bad)}")
+        # A label names its class's clip directory, so a repeat would
+        # overwrite the earlier class's clips.
+        labels = [c.label for c in self.classes()]
+        for i, label in enumerate(labels):
+            if label in labels[:i]:
+                raise ValueError(f"class label {label!r} repeats; every class needs its own label")
 
     def classes(self) -> list[MotionClass]:
         out = []

@@ -155,8 +155,7 @@ def _pyramid_sizes(h, w, params):
 def _solve_level(pairs, flow, params):
     # Refines the flows (N, 2, H, W) of a stack of N pairs. Each pair keeps
     # its own stop test, leaving the working set for the rest of a warp
-    # once it meets it, and its own monotone acceptance. Returns the flows
-    # and the accepted energy of every pair after each warp, (warps, N).
+    # once it meets it, and its own monotone acceptance.
     n = len(flow)
     grid = _pixel_grid(*flow.shape[2:])
     # The second image and its gradient, sampled together at every warp.
@@ -166,7 +165,6 @@ def _solve_level(pairs, flow, params):
     taut = params.tau / params.tv_theta
     p1 = np.zeros_like(flow)
     p2 = np.zeros_like(flow)
-    energies = []
     accepted = _energy(pairs, grid, flow, params.lam)
 
     for _ in range(params.warps_per_level):
@@ -218,9 +216,8 @@ def _solve_level(pairs, flow, params):
         rejected = candidate > accepted
         flow = np.where(rejected[:, None, None, None], flow, refined)
         accepted = np.where(rejected, accepted, candidate)
-        energies.append(accepted)
 
-    return flow, np.array(energies)
+    return flow
 
 
 def _frame_stack(frames):
@@ -241,10 +238,9 @@ def _frame_stack(frames):
 
 
 def _flows(frames, params):
-    # Flows (T-1, 2, H, W) of the consecutive pairs of a (T, H, W) stack,
-    # and the accepted energies after each warp of the finest level,
-    # (warps, T-1). Each level solves its pairs in chunks that together
-    # hold no more pixels than one full-resolution pair.
+    # Flows (T-1, 2, H, W) of the consecutive pairs of a (T, H, W) stack.
+    # Each level solves its pairs in chunks that together hold no more
+    # pixels than one full-resolution pair.
     n = len(frames) - 1
     h, w = frames.shape[1:]
     sizes = _pyramid_sizes(h, w, params)
@@ -268,35 +264,21 @@ def _flows(frames, params):
         # actual per-axis size ratio (nominally 1/pyramid_scale).
         ratio = np.array([lw / cw, lh / ch])[:, None, None]
         level = np.empty((n, 2, lh, lw))
-        energies = []
         for s in range(0, n, chunk):
             end = min(s + chunk, n)
             if pairs is None:
                 part = np.array([_normalize_pair(frames[t : t + 2]) for t in range(s, end)])
             else:
                 part = pairs[s:end]
-            level[s:end], e = _solve_level(part, resize_bilinear(flow[s:end], lh, lw) * ratio, params)
-            energies.append(e)
+            level[s:end] = _solve_level(part, resize_bilinear(flow[s:end], lh, lw) * ratio, params)
         flow = level
-    return flow, np.concatenate(energies, axis=1)
-
-
-def tvl1_flow(
-    prev: GrayImage,
-    nxt: GrayImage,
-    params: Tvl1Params = Tvl1Params(),
-    return_energies: bool = False,
-):
-    """Dense TV-L1 flow from `prev` to `nxt`.
-
-    With ``return_energies=True`` also returns the nonlinear energy after
-    each warp of the finest pyramid level (used by the monotonicity tests).
-    """
-    flows, energies = _flows(_frame_stack([prev, nxt]), params)
-    flow = FlowField(flows[0, 0], flows[0, 1])
-    if return_energies:
-        return flow, [float(e) for e in energies[:, 0]]
     return flow
+
+
+def tvl1_flow(prev: GrayImage, nxt: GrayImage, params: Tvl1Params = Tvl1Params()) -> FlowField:
+    """Dense TV-L1 flow from `prev` to `nxt`."""
+    flows = _flows(_frame_stack([prev, nxt]), params)
+    return FlowField(flows[0, 0], flows[0, 1])
 
 
 def _box_sum(x, k):
@@ -371,5 +353,5 @@ def video_flows(frames: list, params: Tvl1Params = Tvl1Params()) -> list[FlowFie
     """
     if len(frames) < 2:
         raise ValueError(f"need at least 2 frames, got {len(frames)}")
-    flows, _ = _flows(_frame_stack(frames), params)
+    flows = _flows(_frame_stack(frames), params)
     return [FlowField(f[0], f[1]) for f in flows]

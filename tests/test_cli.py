@@ -454,6 +454,24 @@ def test_non_finite_setting_rejected(argv, tiny_dataset, tiny_flows, tiny_pairs,
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "flag, value, label",
+    [
+        ("--speeds", "1,1", "right_s1"),
+        ("--directions", "right,right", "right_s1"),
+        ("--motions", "translate,translate", "right_s1"),
+        ("--speeds", "1,1.0000001", "right_s1"),
+    ],
+    ids=["speeds", "directions", "motions", "speeds_alike_under_g"],
+)
+def test_synth_repeated_label_writes_nothing(tmp_path, capsys, flag, value, label):
+    out = tmp_path / "out"
+    assert main(["synth", str(out), flag, value]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ") and repr(label) in err, err
+    assert not out.exists()
+
+
 class TestViz:
     def test_flow_to_ppm(self, tiny_dataset, tmp_path):
         clip = tiny_dataset / "right_s2" / "clip_001"
@@ -732,6 +750,12 @@ class TestHostileInputs:
                                                 capsys):
         self._forbid_reading_pairs(monkeypatch)
         assert self._train(tiny_dataset, tiny_pairs, tmp_path, "--dropout", "1.5") == 1
+        assert_one_line_error(capsys)
+
+    def test_train_bad_input_side_before_reading_pairs(self, tiny_dataset, tiny_pairs, tmp_path, monkeypatch,
+                                                        capsys):
+        self._forbid_reading_pairs(monkeypatch)
+        assert self._train(tiny_dataset, tiny_pairs, tmp_path, "--input-side", "2") == 1
         assert_one_line_error(capsys)
 
     def test_train_divergence_writes_nothing(self, tiny_dataset, tiny_pairs, tmp_path, capsys, recwarn):

@@ -518,6 +518,12 @@ class TestCheckpoint:
             [{"type": "conv", "out_channels": 2, "kernel": 5, "stride": 1, "pad": 0}, {"type": "fc", "width": 3}],
             "layer 0: conv kernel 5 larger than padded input",
         ),
+        (
+            (2, 6, 6),
+            (FcSpec(4),),
+            [{"type": "fc", "width": 4}],
+            "final layer produces 4 values, expected 3 classes",
+        ),
     ]
 
     @pytest.mark.parametrize("input_shape, layers, descriptors, message", BAD_ARCHITECTURES)
@@ -526,7 +532,7 @@ class TestCheckpoint:
         import struct
 
         with pytest.raises(ValueError, match=message):
-            TinyNet(NetConfig(input_shape=input_shape, num_classes=3, layers=layers), make_rng(40))
+            NetConfig(input_shape=input_shape, num_classes=3, layers=layers)
         path = tmp_path / "model.mosn"
         save_checkpoint(TinyNet(NetConfig(input_shape=(2, 6, 6), num_classes=3, layers=(FcSpec(3),)), make_rng(40)), path)
         data = path.read_bytes()

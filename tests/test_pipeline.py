@@ -64,6 +64,29 @@ class TestReadPairSequence:
         with pytest.raises(ValueError, match=r"clip: .*indices \['0001', '0002'\]"):
             read_pair_sequence(tmp_path / "clip")
 
+    def test_pairs_in_integer_index_order(self, tmp_path):
+        for t, value in ((1, 10), (2, 20), (10, 100)):
+            for prefix in ("mag", "ori"):
+                write_pgm(tmp_path / f"{prefix}_{t}.pgm", np.full((4, 4), value, dtype=np.uint8))
+        pairs = read_pair_sequence(tmp_path)
+        assert [int(p.magnitude[0, 0]) for p in pairs] == [10, 20, 100]
+
+    @pytest.mark.parametrize(
+        "names, match",
+        [
+            (["mag_x", "ori_x"], r"clip: mag_x\.pgm has no integer index"),
+            (["mag_0001", "ori_0001", "mag_1", "ori_1"], r"clip: mag_0001\.pgm and mag_1\.pgm share index 1"),
+            (["mag_0000", "ori_0000", "ori_1", "ori_01"], r"clip: ori_01\.pgm and ori_1\.pgm share index 1"),
+        ],
+        ids=["not_digits", "same_integer", "same_integer_second_half"],
+    )
+    def test_bad_index_names_clip(self, tmp_path, names, match):
+        (tmp_path / "clip").mkdir()
+        for name in names:
+            write_pgm(tmp_path / "clip" / f"{name}.pgm", np.zeros((4, 4), dtype=np.uint8))
+        with pytest.raises(ValueError, match=match):
+            read_pair_sequence(tmp_path / "clip")
+
     def test_image_of_another_size_named(self, tmp_path):
         write_pairs(tmp_path, "mag", "ori", (0, 1, 2), (0, 1, 2))
         write_pgm(tmp_path / "ori_0002.pgm", np.zeros((2, 2), dtype=np.uint8))
