@@ -91,7 +91,7 @@ def cmd_mos(args):
     out_root = Path(args.output)
     stream = STREAMS[args.mode]
     for rel, clip_dir in _clip_dirs(args):
-        flo_paths = sorted(Path(clip_dir).glob("*.flo"))
+        flo_paths = list(pipeline.by_index(Path(clip_dir).glob("*.flo"), clip_dir).values())
         if not flo_paths:
             raise ValueError(f"no .flo files in {clip_dir}")
         dest = out_root / rel

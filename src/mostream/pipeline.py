@@ -3,6 +3,7 @@ training volumes with the random stack start and multi-scale crop."""
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
@@ -49,11 +50,31 @@ class ClipDataset:
         return stream_of(self.clips[0].pairs)
 
 
+def by_index(paths, where) -> dict:
+    """{index: path} of a clip's numbered files, in index order.
+
+    A file's index is the integer that ends its stem: 2 for `frame_2.pgm`,
+    10 for `flow_0010.flo`. A stem without one, or two files with one
+    index, raise ValueError naming the file and `where`.
+    """
+    out = {}
+    for p in sorted(paths):
+        digits = re.search(r"[0-9]+\Z", p.stem)
+        if digits is None:
+            raise ValueError(f"{where}: {p.name} has no integer index")
+        i = int(digits.group())
+        if out.setdefault(i, p) != p:
+            raise ValueError(f"{where}: {out[i].name} and {p.name} share index {i}")
+    return dict(sorted(out.items()))
+
+
 def read_clip_frames(clip_dir) -> list[np.ndarray]:
-    """Grayscale float frames from a directory of PGM/PPM files, sorted by
-    name; every frame must have the first frame's size."""
+    """Grayscale float frames from a directory of PGM/PPM files, in the
+    order of their names' integer index (`by_index`); every frame must have
+    the first frame's size."""
     clip_dir = Path(clip_dir)
-    paths = sorted(p for p in clip_dir.iterdir() if p.suffix.lower() in FRAME_SUFFIXES)
+    frame_files = (p for p in clip_dir.iterdir() if p.suffix.lower() in FRAME_SUFFIXES)
+    paths = list(by_index(frame_files, clip_dir).values())
     if not paths:
         raise ValueError(f"no frame files (*.pgm, *.ppm) in {clip_dir}")
     frames = []
@@ -75,37 +96,25 @@ def _check_one_size(paths, images):
             raise FormatError(f"{path}: image is {w}x{h}, but {paths[0].name} is {w0}x{h0}")
 
 
-def _indexed(clip_dir, prefix):
-    # {integer index: path} of a clip's `<prefix>_NNNN.pgm` files.
-    out = {}
-    for p in sorted(clip_dir.glob(f"{prefix}_*.pgm")):
-        digits = p.stem[len(prefix) + 1 :]
-        if not (digits.isascii() and digits.isdigit()):
-            raise ValueError(f"{clip_dir}: {p.name} has no integer index")
-        if out.setdefault(int(digits), p) != p:
-            raise ValueError(f"{clip_dir}: {out[int(digits)].name} and {p.name} share index {int(digits)}")
-    return out
-
-
 def read_pair_sequence(clip_dir) -> list:
     """Byte-image pairs from a directory `mostream mos` wrote, in index order.
 
     The stream kind comes from the file names, `<prefix>_NNNN.pgm` with a
     kind's two prefixes from `mos.STREAMS`. Files pair and are ordered by
-    the integer value of their index NNNN, and both halves must cover the
+    their integer index NNNN (`by_index`), and both halves must cover the
     same indices. Every image must have the size of the clip's first image.
     """
     clip_dir = Path(clip_dir)
     for stream in STREAMS.values():
         first, second = stream.prefixes
-        firsts = _indexed(clip_dir, first)
+        firsts = by_index(clip_dir.glob(f"{first}_*.pgm"), clip_dir)
         if not firsts:
             continue
-        seconds = _indexed(clip_dir, second)
+        seconds = by_index(clip_dir.glob(f"{second}_*.pgm"), clip_dir)
         unmatched = [f"{i:04d}" for i in sorted(firsts.keys() ^ seconds.keys())]
         if unmatched:
             raise ValueError(f"{clip_dir}: {first}_/{second}_ images without a partner at indices {unmatched}")
-        paths = [p for i in sorted(firsts) for p in (firsts[i], seconds[i])]
+        paths = [p for i in firsts for p in (firsts[i], seconds[i])]
         images = [read_pgm(p) for p in paths]
         _check_one_size(paths, images)
         return [stream.pair(first, second) for first, second in zip(images[::2], images[1::2])]

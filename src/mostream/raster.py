@@ -86,8 +86,9 @@ def bilinear_map(img: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     row0 = base + y0 * w
     row1 = base + y1 * w
     flat = img.reshape(-1)
-    top = flat.take(row0 + x0) * (1.0 - fx) + flat.take(row0 + x1) * fx
-    bot = flat.take(row1 + x0) * (1.0 - fx) + flat.take(row1 + x1) * fx
+    gx = 1.0 - fx
+    top = flat.take(row0 + x0) * gx + flat.take(row0 + x1) * fx
+    bot = flat.take(row1 + x0) * gx + flat.take(row1 + x1) * fx
     return top * (1.0 - fy) + bot * fy
 
 

@@ -18,6 +18,16 @@ that hold no more pixels than one full-resolution pair; every per-pair sum
 is a contiguous reduction over that pair's pixels, so each flow is
 bit-identical to solving its pair alone.
 
+A level makes the inner iterations' arrays once, sized for its chunk (the
+flow and its previous value, double-buffered; the duals; the residual,
+step, forward gradients, divergence and a scratch array), and every
+update writes into them with ``out=``. Pairs that meet the stop test leave
+the working set, which then uses the leading entries of the same arrays.
+The second image and its gradient are sampled together at each flow's end
+points; the acceptance energy of a warp reads that sample, and when the
+warp is accepted the next warp linearizes at it, so a level samples once
+per warp plus once at its start.
+
 ``block_match_flow`` is a deliberately simple exhaustive-search SAD matcher
 used as an independent test oracle for the variational solver; the two share
 no code beyond the raster primitives.
@@ -80,24 +90,36 @@ def _central_gradient(img):
     return g
 
 
-def _forward_gradient(f):
+def _forward_gradient(f, out=None):
     # Forward differences over the last two axes, with Neumann (zero)
-    # boundary on the last row/col.
-    fx = np.zeros_like(f)
-    fy = np.zeros_like(f)
-    fx[..., :-1] = f[..., 1:] - f[..., :-1]
-    fy[..., :-1, :] = f[..., 1:, :] - f[..., :-1, :]
+    # boundary on the last row/col; written into `out`, a pair of
+    # C-contiguous arrays, when given. Each difference runs over the
+    # flattened array in one pass, so the entries that cross a row (or an
+    # image) end up in the last column (row) and are then zeroed.
+    w = f.shape[-1]
+    fx, fy = (np.empty(f.shape), np.empty(f.shape)) if out is None else out
+    flat = f.reshape(-1)
+    np.subtract(flat[1:], flat[:-1], out=fx.reshape(-1)[:-1])
+    fx[..., -1] = 0.0
+    np.subtract(flat[w:], flat[:-w], out=fy.reshape(-1)[:-w])
+    fy[..., -1, :] = 0.0
     return fx, fy
 
 
-def _divergence(p1, p2):
-    # Adjoint of _forward_gradient.
-    div = np.zeros_like(p1)
-    div[..., 0] += p1[..., 0]
-    div[..., 1:] += p1[..., 1:] - p1[..., :-1]
-    div[..., 0, :] += p2[..., 0, :]
-    div[..., 1:, :] += p2[..., 1:, :] - p2[..., :-1, :]
-    return div
+def _divergence(p1, p2, out=None):
+    # Adjoint of _forward_gradient, written into the C-contiguous `out`
+    # when given. The flattened differences cross rows (images) in the
+    # first column (row), where the dual's own value goes instead.
+    w = p1.shape[-1]
+    div = np.empty(p1.shape) if out is None else out
+    dy = np.empty(p1.shape)
+    flat, a = div.reshape(-1), p1.reshape(-1)
+    np.subtract(a[1:], a[:-1], out=flat[1:])
+    div[..., 0] = p1[..., 0]
+    flat, a = dy.reshape(-1), p2.reshape(-1)
+    np.subtract(a[w:], a[:-w], out=flat[w:])
+    dy[..., 0, :] = p2[..., 0, :]
+    return np.add(div, dy, out=div)
 
 
 def _pixel_grid(h, w):
@@ -106,12 +128,17 @@ def _pixel_grid(h, w):
 
 
 def _energy(pairs, grid, flow, lam):
-    # Energy of each pair of an (N, 2, H, W) stack; every sum is a
-    # contiguous reduction over one pair's pixels, as for a lone pair.
-    n = len(flow)
+    # Energy of each pair of an (N, 2, H, W) stack.
     at = grid + flow
-    warped = bilinear_map(pairs[:, 1], at[:, 0], at[:, 1])
-    data = lam * np.abs(warped - pairs[:, 0]).reshape(n, -1).sum(axis=1)
+    return _sampled_energy(pairs[:, 0], bilinear_map(pairs[:, 1], at[:, 0], at[:, 1]), flow, lam)
+
+
+def _sampled_energy(first, warped, flow, lam):
+    # Energy of each of N flows, given the second images sampled at the
+    # flows' end points; every sum is a contiguous reduction over one
+    # pair's pixels, as for a lone pair.
+    n = len(flow)
+    data = lam * np.abs(warped - first).reshape(n, -1).sum(axis=1)
     fx, fy = _forward_gradient(flow)
     tv = np.sqrt(fx * fx + fy * fy).reshape(n, 2, -1).sum(axis=2)
     return data + (tv[:, 0] + tv[:, 1])
@@ -156,65 +183,113 @@ def _solve_level(pairs, flow, params):
     # Refines the flows (N, 2, H, W) of a stack of N pairs. Each pair keeps
     # its own stop test, leaving the working set for the rest of a warp
     # once it meets it, and its own monotone acceptance.
-    n = len(flow)
-    grid = _pixel_grid(*flow.shape[2:])
-    # The second image and its gradient, sampled together at every warp.
+    n, _, h, w = flow.shape
+    grid = _pixel_grid(h, w)
+    first = pairs[:, 0]
+    # The second image and its gradient, sampled together at the flows'
+    # end points: once for each warp's linearization and acceptance energy.
     src = np.concatenate([pairs[:, 1:], _central_gradient(pairs[:, 1])], axis=1)
+
+    def sample_at(flow):
+        at = grid + flow
+        return bilinear_map(src, at[:, :1], at[:, 1:])
 
     lt = params.lam * params.tv_theta
     taut = params.tau / params.tv_theta
+    eps_sq = params.stop_epsilon**2
+    flow = flow.copy()
     p1 = np.zeros_like(flow)
     p2 = np.zeros_like(flow)
-    accepted = _energy(pairs, grid, flow, params.lam)
+    sample = sample_at(flow)
+    accepted = _sampled_energy(first, sample[:, 0], flow, params.lam)
+
+    # The inner iterations write into these arrays; a warp's live pairs
+    # use their leading entries.
+    f, last, q1, q2, fx, fy, div, refined = (np.empty_like(flow) for _ in range(8))
+    rho, step, scratch = (np.empty((n, h, w)) for _ in range(3))
+    mask = np.empty((n, h, w), dtype=bool)
 
     for _ in range(params.warps_per_level):
-        at = grid + flow
-        warped = bilinear_map(src, at[:, :1], at[:, 1:])
-        g = warped[:, 1:]
+        # The residual linearized at the warp point: its constant part, the
+        # clamp bound lam*theta*|grad|^2 and the Gauss-Newton divisor, the
+        # last two also negated so that the step takes one divide.
+        g = sample[:, 1:].copy()
         grad_sq = g[:, 0] * g[:, 0] + g[:, 1] * g[:, 1]
-        # Constant part of the residual linearized at the warp point, the
-        # clamp bound lam*theta*|grad|^2 and the Gauss-Newton divisor.
-        rho_c = warped[:, 0] - g[:, 0] * flow[:, 0] - g[:, 1] * flow[:, 1] - pairs[:, 0]
+        rho_c = sample[:, 0] - g[:, 0] * flow[:, 0] - g[:, 1] * flow[:, 1] - first
         bound = lt * grad_sq
-        divisor = np.maximum(grad_sq, _GRAD_FLOOR)
-
-        refined = np.empty_like(flow)
+        neg_bound = -bound
+        neg_div = -np.maximum(grad_sq, _GRAD_FLOOR)
+        np.copyto(f, flow)
+        np.copyto(q1, p1)
+        np.copyto(q2, p2)
         live = np.arange(n)
-        f, q1, q2 = flow, p1, p2
         for _ in range(params.inner_iterations):
-            last = f
-            rho = rho_c + g[:, 0] * f[:, 0] + g[:, 1] * f[:, 1]
+            m = len(live)
+            fm, gm, q1m, q2m, fxm, fym, dm = (a[:m] for a in (f, g, q1, q2, fx, fy, div))
+            rm, sm, tm, km = (a[:m] for a in (rho, step, scratch, mask))
+            np.multiply(gm[:, 0], fm[:, 0], out=rm)
+            np.add(rho_c[:m], rm, out=rm)
+            np.multiply(gm[:, 1], fm[:, 1], out=tm)
+            np.add(rm, tm, out=rm)
             # Point-wise minimizer of lam*theta*|rho(v)| + 0.5*|v - u|^2:
-            # clamp the Gauss-Newton step to +-lam*theta*|grad|.
-            step = np.where(rho < -bound, lt, np.where(rho > bound, -lt, -rho / divisor))
-            f = f + step[:, None] * g + params.tv_theta * _divergence(q1, q2)
+            # the Gauss-Newton step, clamped to +-lam*theta*|grad|.
+            np.divide(rm, neg_div[:m], out=sm)
+            np.less(rm, neg_bound[:m], out=km)
+            np.copyto(sm, lt, where=km)
+            np.greater(rm, bound[:m], out=km)
+            np.copyto(sm, -lt, where=km)
 
-            fx, fy = _forward_gradient(f)
-            norm = 1.0 + taut * np.sqrt(fx * fx + fy * fy)
-            q1 = (q1 + taut * fx) / norm
-            q2 = (q2 + taut * fy) / norm
+            # f + step*g + theta*div(q), into the other buffer.
+            f, last = last, f
+            fm, lm = f[:m], last[:m]
+            np.multiply(sm[:, None], gm, out=fm)
+            np.add(lm, fm, out=fm)
+            _divergence(q1m, q2m, out=dm)
+            np.multiply(dm, params.tv_theta, out=dm)
+            np.add(fm, dm, out=fm)
 
-            d = (f - last) ** 2
-            d = (d[:, 0] + d[:, 1]).reshape(len(f), -1)
-            # The mean over each pair's pixels, as `np.mean` computes it.
-            stop = d.sum(axis=1) / d.shape[1] < params.stop_epsilon**2
+            # The stop test, on the mean over each pair's pixels of the
+            # squared change, as `np.mean` computes it.
+            np.subtract(fm, lm, out=lm)
+            np.multiply(lm, lm, out=lm)
+            np.add(lm[:, 0], lm[:, 1], out=tm)
+            stop = tm.reshape(m, -1).sum(axis=1) / (h * w) < eps_sq
+
+            # The dual step q <- (q + taut*grad f) / (1 + taut*|grad f|).
+            _forward_gradient(fm, out=(fxm, fym))
+            np.multiply(fxm, fxm, out=dm)
+            np.multiply(fym, fym, out=lm)
+            np.add(dm, lm, out=dm)
+            np.sqrt(dm, out=dm)
+            np.multiply(dm, taut, out=dm)
+            np.add(dm, 1.0, out=dm)
+            for q, d in ((q1m, fxm), (q2m, fym)):
+                np.multiply(d, taut, out=d)
+                np.add(q, d, out=q)
+                np.divide(q, dm, out=q)
+
             if stop.any():
                 done = live[stop]
-                refined[done], p1[done], p2[done] = f[stop], q1[stop], q2[stop]
+                refined[done], p1[done], p2[done] = fm[stop], q1m[stop], q2m[stop]
                 keep = ~stop
                 live = live[keep]
-                f, q1, q2, g, rho_c, bound, divisor = (a[keep] for a in (f, q1, q2, g, rho_c, bound, divisor))
+                for a in (f, q1, q2, g, rho_c, bound, neg_bound, neg_div):
+                    a[: len(live)] = a[:m][keep]
                 if not len(live):
                     break
-        refined[live], p1[live], p2[live] = f, q1, q2
+        m = len(live)
+        refined[live], p1[live], p2[live] = f[:m], q1[:m], q2[:m]
 
         # Monotone acceptance: the relinearized subproblem can raise the
-        # true nonlinear energy; a pair keeps its previous flow when it
-        # does (dual state carries on, so later warps can still make
-        # progress).
-        candidate = _energy(pairs, grid, refined, params.lam)
+        # true nonlinear energy; a pair keeps its previous flow, and the
+        # sample there, when it does (dual state carries on, so later warps
+        # can still make progress).
+        candidate_sample = sample_at(refined)
+        candidate = _sampled_energy(first, candidate_sample[:, 0], refined, params.lam)
         rejected = candidate > accepted
-        flow = np.where(rejected[:, None, None, None], flow, refined)
+        take = ~rejected[:, None, None, None]
+        np.copyto(flow, refined, where=take)
+        np.copyto(sample, candidate_sample, where=take)
         accepted = np.where(rejected, accepted, candidate)
 
     return flow

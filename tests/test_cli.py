@@ -10,18 +10,20 @@ import pytest
 from mostream import cli, fusion, mos, pipeline, tvl1
 from mostream.cli import main
 from mostream.experiment import ExperimentConfig
+from conftest import shift_image, smooth_texture
 from mostream.formats import (
     read_flo,
     read_manifest,
     read_pgm,
     read_scores_csv,
     read_tensor,
+    write_flo,
     write_pgm,
 )
 from mostream.fusion import PredictParams
 from mostream.mos import MosParams, mos_images
 from mostream.net import TinyNet, TrainConfig, desk_net_config, load_checkpoint, save_checkpoint
-from mostream.raster import make_rng
+from mostream.raster import FlowField, make_rng
 from mostream.synth import SyntheticSpec
 from mostream.tvl1 import Tvl1Params
 from mostream.volume import StackSpec
@@ -297,6 +299,34 @@ class TestFlowMosVolumeChain:
         tensor = read_tensor(vols[0])
         assert tensor.shape == (20, 32, 32)
 
+    def test_flow_orders_frames_by_integer_index(self, tmp_path):
+        # By name the frames run 1, 10, 2; by index 1, 2, 10.
+        tex = smooth_texture(30, 32, 32)
+        frames = {t: np.floor(shift_image(tex, 0.5 * t, 0.0) + 0.5).astype(np.uint8) for t in (1, 2, 10)}
+        clip = tmp_path / "clip"
+        clip.mkdir()
+        for t, frame in frames.items():
+            write_pgm(clip / f"frame_{t}.pgm", frame)
+        assert main(["flow", str(clip), str(tmp_path / "flows")]) == 0
+        expected = tvl1.video_flows([frames[t] for t in (1, 2, 10)])
+        for i, want in enumerate(expected):
+            got = read_flo(tmp_path / "flows" / f"flow_{i:04d}.flo")
+            assert np.array_equal(got.u, want.u.astype(np.float32)), i
+            assert np.array_equal(got.v, want.v.astype(np.float32)), i
+
+    def test_mos_orders_flo_files_by_integer_index(self, tmp_path):
+        # Uniform flows of t px to the right in flow_t.flo; by name they run
+        # 1, 10, 2, and the pairs must follow the index: 1, 2, 10.
+        flows = {t: FlowField(np.full((16, 16), float(t)), np.zeros((16, 16))) for t in (1, 2, 10)}
+        (tmp_path / "flows").mkdir()
+        for t, flow in flows.items():
+            write_flo(tmp_path / "flows" / f"flow_{t}.flo", flow)
+        assert main(["mos", str(tmp_path / "flows"), str(tmp_path / "mos")]) == 0
+        for i, t in enumerate((1, 2, 10)):
+            pair = mos_images(flows[t])
+            assert np.array_equal(read_pgm(tmp_path / "mos" / f"mag_{i:04d}.pgm"), pair.magnitude), t
+            assert np.array_equal(read_pgm(tmp_path / "mos" / f"ori_{i:04d}.pgm"), pair.orientation), t
+
     def test_xy_mode(self, tiny_dataset, tmp_path):
         clip = tiny_dataset / "down_s2" / "clip_000"
         flow_dir = tmp_path / "flows"
@@ -515,7 +545,7 @@ class TestExitCodes:
 
     def test_volume_on_short_clip_errors(self, tmp_path, capsys):
         from mostream.formats import write_pgm
-        from mostream.raster import make_rng
+        from mostream.raster import FlowField, make_rng
 
         clip = tmp_path / "clip"
         clip.mkdir()
@@ -570,6 +600,42 @@ class TestHostileInputs:
         assert_one_line_error(capsys)
         assert sorted(escape.iterdir()) == before
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "names, message",
+        [
+            (["frame_0", "frame_1", "frame_a"], "frame_a.pgm has no integer index"),
+            (["frame_0", "frame_1", "frame_01"], "frame_01.pgm and frame_1.pgm share index 1"),
+        ],
+        ids=["no_index", "repeated_index"],
+    )
+    def test_flow_rejects_frame_names(self, tmp_path, capsys, names, message):
+        clip = tmp_path / "clip"
+        clip.mkdir()
+        for name in names:
+            write_pgm(clip / f"{name}.pgm", np.zeros((32, 32), dtype=np.uint8))
+        assert main(["flow", str(clip), str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ") and message in err, err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "names, message",
+        [
+            (["flow_0", "flow_x"], "flow_x.flo has no integer index"),
+            (["flow_0", "flow_1", "flow_0001"], "flow_0001.flo and flow_1.flo share index 1"),
+        ],
+        ids=["no_index", "repeated_index"],
+    )
+    def test_mos_rejects_flo_names(self, tmp_path, capsys, names, message):
+        flows = tmp_path / "flows"
+        flows.mkdir()
+        for name in names:
+            write_flo(flows / f"{name}.flo", FlowField(np.zeros((16, 16)), np.zeros((16, 16))))
+        assert main(["mos", str(flows), str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ") and message in err, err
+        assert not (tmp_path / "out").exists()
 
     def test_flow_names_a_frame_of_another_size(self, tiny_dataset, tmp_path, capsys):
         clip = tmp_path / "clip"

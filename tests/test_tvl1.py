@@ -166,6 +166,23 @@ class TestStackedStencils:
             assert np.array_equal(fx[c], sx) and np.array_equal(fy[c], sy)
             assert np.array_equal(div[c], _divergence(p1[c], p2[c]))
 
+    def test_equal_slice_differences(self):
+        # The helpers difference flattened arrays; the slice forms are the
+        # reference, with or without `out` (filled with nan beforehand).
+        f, p1, p2 = make_rng(42).normal(size=(3, 3, 2, 9, 7))
+        fx, fy, div = np.zeros_like(f), np.zeros_like(f), np.zeros_like(f)
+        fx[..., :-1] = f[..., 1:] - f[..., :-1]
+        fy[..., :-1, :] = f[..., 1:, :] - f[..., :-1, :]
+        div[..., 0] += p1[..., 0]
+        div[..., 1:] += p1[..., 1:] - p1[..., :-1]
+        div[..., 0, :] += p2[..., 0, :]
+        div[..., 1:, :] += p2[..., 1:, :] - p2[..., :-1, :]
+        nans = [np.full(f.shape, np.nan) for _ in range(3)]
+        for gx, gy in (_forward_gradient(f), _forward_gradient(f, out=nans[:2])):
+            assert np.array_equal(gx, fx) and np.array_equal(gy, fy)
+        assert np.array_equal(_divergence(p1, p2), div)
+        assert np.array_equal(_divergence(p1, p2, out=nans[2]), div)
+
     def test_divergence_is_negative_adjoint(self):
         # The solver's duals keep a zero last column (p1) and last row (p2),
         # because the forward differences they accumulate are zero there.
@@ -257,6 +274,26 @@ class TestVideoFlows:
             digest.update(f.u.tobytes())
             digest.update(f.v.tobytes())
         assert digest.hexdigest() == MIXED_CLIP_FLOWS_SHA256
+
+    def test_mixed_clip_has_a_rejected_warp_then_an_accepted_one(self, monkeypatch):
+        # A warp the monotone rule rejects leaves its pair's flow equal to
+        # the flow before it. At the 64x64 and 32x32 levels some pair of
+        # `mixed_clip()` has such a warp followed by one that moves its flow,
+        # so MIXED_CLIP_FLOWS_SHA256 covers a warp that starts from the
+        # sample a rejection kept. (At 16x16 no flow moves after it stops.)
+        calls = []
+        solve = tvl1._solve_level
+        monkeypatch.setattr(tvl1, "_solve_level", lambda *args: calls.append(args) or solve(*args))
+        video_flows(mixed_clip())
+        sizes = set()
+        for pairs, flow, params in calls:
+            warps = range(1, params.warps_per_level + 1)
+            runs = [flow] + [solve(pairs, flow, replace(params, warps_per_level=k)) for k in warps]
+            for i in range(len(flow)):
+                for before, after, then in zip(runs, runs[1:], runs[2:]):
+                    if np.array_equal(before[i], after[i]) and not np.array_equal(after[i], then[i]):
+                        sizes.add(flow.shape[-1])
+        assert {32, 64} <= sizes
 
     def test_each_flow_equals_its_pair_solved_alone(self):
         frames = mixed_clip()
