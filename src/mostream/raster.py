@@ -5,6 +5,10 @@ Conventions used across the package:
 * Images are 2-D numpy arrays in row-major (height, width) layout.
   ``GrayImage`` is float64, ``ByteImage`` is uint8 with values in [0, 255].
 * All out-of-raster sampling clamps coordinates to the border pixel.
+* The samplers ``bilinear_map`` and ``resize_bilinear`` keep float32 input
+  in float32, weights and result, so that a float32 caller (the TV-L1
+  solver) stays in single precision; any other input is computed in
+  float64.
 * Randomness flows through ``numpy.random.Generator`` instances backed by
   the published PCG64 generator, seeded via ``make_rng`` so that streams
   are reproducible across runs and platforms.
@@ -61,6 +65,12 @@ class FlowField:
         return self.u.shape
 
 
+def _float_image(img) -> np.ndarray:
+    # float32 stays float32; anything else becomes float64.
+    img = np.asarray(img)
+    return img if img.dtype == np.float32 else img.astype(np.float64, copy=False)
+
+
 def bilinear_map(img: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """Bilinear interpolation of the last two axes of an (..., H, W) image
     at real coordinate arrays (xs, ys).
@@ -71,16 +81,20 @@ def bilinear_map(img: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     outside the raster clamp to the border pixel, so the result is always
     bounded by the min/max of the source pixels.
     """
-    img = np.asarray(img, dtype=np.float64)
+    img = _float_image(img)
     *lead, h, w = img.shape
-    xc = np.clip(xs, 0.0, float(w - 1))
-    yc = np.clip(ys, 0.0, float(h - 1))
-    x0 = np.floor(xc).astype(np.intp)
-    y0 = np.floor(yc).astype(np.intp)
+    xc = np.clip(np.asarray(xs, dtype=img.dtype), 0.0, float(w - 1))
+    yc = np.clip(np.asarray(ys, dtype=img.dtype), 0.0, float(h - 1))
+    # The weights come from the float floor: subtracting an integer index
+    # would promote float32 to float64.
+    xf = np.floor(xc)
+    yf = np.floor(yc)
+    fx = xc - xf
+    fy = yc - yf
+    x0 = xf.astype(np.intp)
+    y0 = yf.astype(np.intp)
     x1 = np.minimum(x0 + 1, w - 1)
     y1 = np.minimum(y0 + 1, h - 1)
-    fx = xc - x0
-    fy = yc - y0
     # Flat offsets of the rows y0 and y1 in every image.
     base = (np.arange(math.prod(lead)) * (h * w)).reshape(*lead, 1, 1) if lead else 0
     row0 = base + y0 * w
@@ -98,7 +112,7 @@ def resize_bilinear(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     arithmetic of ``bilinear_map`` on the output grid."""
     if out_h < 1 or out_w < 1:
         raise ValueError(f"invalid output size {out_h}x{out_w}")
-    img = np.asarray(img, dtype=np.float64)
+    img = _float_image(img)
     in_h, in_w = img.shape[-2:]
     if (in_h, in_w) == (out_h, out_w):
         return img.copy()
@@ -108,8 +122,9 @@ def resize_bilinear(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     y0 = np.floor(ys).astype(np.intp)
     x1 = np.minimum(x0 + 1, in_w - 1)
     y1 = np.minimum(y0 + 1, in_h - 1)
-    fx = xs - x0
-    fy = (ys - y0)[:, None]
+    # Weights in float64, rounded once to the image's precision.
+    fx = (xs - x0).astype(img.dtype, copy=False)
+    fy = (ys - y0).astype(img.dtype, copy=False)[:, None]
     rows = img[..., x0] * (1.0 - fx) + img[..., x1] * fx
     return rows[..., y0, :] * (1.0 - fy) + rows[..., y1, :] * fy
 

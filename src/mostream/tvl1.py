@@ -28,6 +28,14 @@ points; the acceptance energy of a warp reads that sample, and when the
 warp is accepted the next warp linearizes at it, so a level samples once
 per warp plus once at its start.
 
+Precision: frames come in and are checked in float64, and each pair is
+mapped onto [0, 255] in float64 before it is rounded to float32, so no
+finite frame overflows. From there the pyramid, the flows, their duals and
+every level buffer are float32, as in the reference single-precision
+solvers. The per-pair sums that decide something (the energies of the
+monotone acceptance and the stop test's mean squared change) accumulate in
+float64. ``tvl1_flow`` and ``video_flows`` return float64 fields.
+
 ``block_match_flow`` is a deliberately simple exhaustive-search SAD matcher
 used as an independent test oracle for the variational solver; the two share
 no code beyond the raster primitives.
@@ -80,7 +88,7 @@ class Tvl1Params:
 def _central_gradient(img):
     # (d/dx, d/dy) of (..., H, W) images, stacked on a new axis before the
     # last two; one-sided half-differences at the border.
-    g = np.empty(img.shape[:-2] + (2,) + img.shape[-2:])
+    g = np.empty(img.shape[:-2] + (2,) + img.shape[-2:], dtype=img.dtype)
     g[..., 0, :, 1:-1] = 0.5 * (img[..., :, 2:] - img[..., :, :-2])
     g[..., 0, :, 0] = 0.5 * (img[..., :, 1] - img[..., :, 0])
     g[..., 0, :, -1] = 0.5 * (img[..., :, -1] - img[..., :, -2])
@@ -97,7 +105,7 @@ def _forward_gradient(f, out=None):
     # flattened array in one pass, so the entries that cross a row (or an
     # image) end up in the last column (row) and are then zeroed.
     w = f.shape[-1]
-    fx, fy = (np.empty(f.shape), np.empty(f.shape)) if out is None else out
+    fx, fy = (np.empty_like(f), np.empty_like(f)) if out is None else out
     flat = f.reshape(-1)
     np.subtract(flat[1:], flat[:-1], out=fx.reshape(-1)[:-1])
     fx[..., -1] = 0.0
@@ -111,8 +119,8 @@ def _divergence(p1, p2, out=None):
     # when given. The flattened differences cross rows (images) in the
     # first column (row), where the dual's own value goes instead.
     w = p1.shape[-1]
-    div = np.empty(p1.shape) if out is None else out
-    dy = np.empty(p1.shape)
+    div = np.empty_like(p1) if out is None else out
+    dy = np.empty_like(p1)
     flat, a = div.reshape(-1), p1.reshape(-1)
     np.subtract(a[1:], a[:-1], out=flat[1:])
     div[..., 0] = p1[..., 0]
@@ -123,8 +131,9 @@ def _divergence(p1, p2, out=None):
 
 
 def _pixel_grid(h, w):
-    # (x, y) coordinates of every pixel, stacked like a flow.
-    return np.array(np.meshgrid(np.arange(w, dtype=np.float64), np.arange(h, dtype=np.float64)))
+    # (x, y) coordinates of every pixel, stacked like a flow; float32 holds
+    # them exactly, and adding a float64 flow gives float64 end points.
+    return np.array(np.meshgrid(np.arange(w, dtype=np.float32), np.arange(h, dtype=np.float32)))
 
 
 def _energy(pairs, grid, flow, lam):
@@ -135,12 +144,12 @@ def _energy(pairs, grid, flow, lam):
 
 def _sampled_energy(first, warped, flow, lam):
     # Energy of each of N flows, given the second images sampled at the
-    # flows' end points; every sum is a contiguous reduction over one
-    # pair's pixels, as for a lone pair.
+    # flows' end points; every sum is a contiguous float64 reduction over
+    # one pair's pixels, as for a lone pair.
     n = len(flow)
-    data = lam * np.abs(warped - first).reshape(n, -1).sum(axis=1)
+    data = lam * np.abs(warped - first).reshape(n, -1).sum(axis=1, dtype=np.float64)
     fx, fy = _forward_gradient(flow)
-    tv = np.sqrt(fx * fx + fy * fy).reshape(n, 2, -1).sum(axis=2)
+    tv = np.sqrt(fx * fx + fy * fy).reshape(n, 2, -1).sum(axis=2, dtype=np.float64)
     return data + (tv[:, 0] + tv[:, 1])
 
 
@@ -151,14 +160,19 @@ def tvl1_energy(prev: GrayImage, nxt: GrayImage, flow: FlowField, lam: float) ->
 
 
 def _normalize_pair(pair):
-    # Joint affine map of both images of a (2, H, W) pair onto [0, 255];
-    # the solver's default weights are tuned for byte-scale intensities.
-    # Constant pairs map to zero, which in turn yields exactly zero flow.
+    # Joint affine map of both images of a float64 (2, H, W) pair onto
+    # [0, 255], then rounded to the solver's float32; the solver's default
+    # weights are tuned for byte-scale intensities. Constant pairs map to
+    # zero, which in turn yields exactly zero flow.
     lo = pair.min()
     hi = pair.max()
-    if hi - lo <= 0:
-        return np.zeros_like(pair)
-    return (pair - lo) * (255.0 / (hi - lo))
+    if not hi > lo:
+        return np.zeros(pair.shape, dtype=np.float32)
+    # Scaling by a power of two first is exact and keeps the range and its
+    # reciprocal finite for every finite pair, subnormal or near overflow.
+    e = np.frexp(max(-lo, hi))[1]
+    pair, lo, hi = np.ldexp(pair, -e), np.ldexp(lo, -e), np.ldexp(hi, -e)
+    return ((pair - lo) * (255.0 / (hi - lo))).astype(np.float32)
 
 
 def _downscale(pairs, scale, size):
@@ -206,7 +220,7 @@ def _solve_level(pairs, flow, params):
     # The inner iterations write into these arrays; a warp's live pairs
     # use their leading entries.
     f, last, q1, q2, fx, fy, div, refined = (np.empty_like(flow) for _ in range(8))
-    rho, step, scratch = (np.empty((n, h, w)) for _ in range(3))
+    rho, step, scratch = (np.empty((n, h, w), dtype=flow.dtype) for _ in range(3))
     mask = np.empty((n, h, w), dtype=bool)
 
     for _ in range(params.warps_per_level):
@@ -249,11 +263,11 @@ def _solve_level(pairs, flow, params):
             np.add(fm, dm, out=fm)
 
             # The stop test, on the mean over each pair's pixels of the
-            # squared change, as `np.mean` computes it.
+            # squared change, summed in float64.
             np.subtract(fm, lm, out=lm)
             np.multiply(lm, lm, out=lm)
             np.add(lm[:, 0], lm[:, 1], out=tm)
-            stop = tm.reshape(m, -1).sum(axis=1) / (h * w) < eps_sq
+            stop = tm.reshape(m, -1).sum(axis=1, dtype=np.float64) / (h * w) < eps_sq
 
             # The dual step q <- (q + taut*grad f) / (1 + taut*|grad f|).
             _forward_gradient(fm, out=(fxm, fym))
@@ -330,15 +344,15 @@ def _flows(frames, params):
     for size in sizes[2:]:
         coarse.append(_downscale(coarse[-1], scale, size))
 
-    flow = np.zeros((n, 2) + sizes[-1])
+    flow = np.zeros((n, 2) + sizes[-1], dtype=np.float32)
     for lh, lw in reversed(sizes):
         pairs = coarse.pop() if coarse else None
         chunk = max(1, (h * w) // (lh * lw))
         ch, cw = flow.shape[2:]
         # Upscale the coarse flow; displacement values grow with the
         # actual per-axis size ratio (nominally 1/pyramid_scale).
-        ratio = np.array([lw / cw, lh / ch])[:, None, None]
-        level = np.empty((n, 2, lh, lw))
+        ratio = np.array([lw / cw, lh / ch], dtype=np.float32)[:, None, None]
+        level = np.empty((n, 2, lh, lw), dtype=np.float32)
         for s in range(0, n, chunk):
             end = min(s + chunk, n)
             if pairs is None:

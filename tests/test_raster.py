@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -116,6 +118,36 @@ class TestResize:
             vol = vol[:, :, ::-1]
         per_channel = np.stack([resize_bilinear(ch, 32, 32) for ch in vol])
         assert np.array_equal(resize_bilinear(vol, 32, 32), per_channel)
+
+    def test_float64_window_keeps_its_bits(self):
+        # The float64 path, which crops take, keeps its bits whatever the
+        # float32 path does.
+        window = make_rng(0).normal(128.0, 40.0, size=(20, 64, 64))
+        assert hashlib.sha256(resize_bilinear(window, 32, 32).tobytes()).hexdigest() == (
+            "21f66cc6cba9917610e5e3f7c3cca72c554b9cec02e97ac05e5473c9c05d22f7"
+        )
+
+
+class TestSamplerPrecision:
+    """float32 input stays float32; any other input is sampled in float64."""
+
+    def test_float32_in_float32_out(self):
+        img = make_rng(6).random((3, 9, 11)).astype(np.float32)
+        xs, ys = (make_rng(7).random((2, 3, 5, 6)) * 12.0 - 1.0).astype(np.float32)
+        mapped = bilinear_map(img, xs, ys)
+        assert mapped.dtype == np.float32
+        assert np.allclose(mapped, bilinear_map(img.astype(np.float64), xs, ys), rtol=0.0, atol=1e-6)
+        resized = resize_bilinear(img, 17, 4)
+        assert resized.dtype == np.float32
+        assert np.allclose(resized, resize_bilinear(img.astype(np.float64), 17, 4), rtol=0.0, atol=1e-6)
+        assert resize_bilinear(img, 9, 11).dtype == np.float32
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int64, np.float16, np.float64])
+    def test_other_input_sampled_in_float64(self, dtype):
+        img = (make_rng(8).random((6, 7)) * 100).astype(dtype)
+        xs, ys = make_rng(9).random((2, 4, 4)) * 6.0
+        assert bilinear_map(img, xs, ys).dtype == np.float64
+        assert resize_bilinear(img, 3, 12).dtype == np.float64
 
 
 class TestRng:

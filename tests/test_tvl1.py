@@ -36,7 +36,14 @@ def mixed_clip():
 
 # sha256 of the raw float64 u, then v, bytes of each flow `video_flows`
 # returns for `mixed_clip()`, as computed when every pair was solved alone.
-MIXED_CLIP_FLOWS_SHA256 = "d9a06974deeb63572756f1fabd6d699eb55fbc2060fa029f9d8cedd4c9a6f9f9"
+MIXED_CLIP_FLOWS_SHA256 = "8fe07321887bcfa9392df854aebbe9f63afd35cb25016fef453fa97df02bd71f"
+
+
+# Finite frames from uniform [0, 1) noise whose intensity range, or its
+# reciprocal, over- or underflows float64: subnormal values, and values
+# spread over +-1e308.
+EXTREME_RANGES = [lambda r: r * 1e-310, lambda r: (2.0 * r - 1.0) * 1e308]
+EXTREME_IDS = ["subnormal", "spread_over_range"]
 
 
 def traced_peak(fn):
@@ -150,6 +157,12 @@ class TestTvl1Flow:
         with pytest.raises(ValueError, match="non-finite"):
             tvl1_flow(tex, bad)
 
+    @pytest.mark.parametrize("extreme", EXTREME_RANGES, ids=EXTREME_IDS)
+    def test_extreme_finite_intensities_give_finite_flow(self, extreme):
+        prev, nxt = extreme(make_rng(43).random((2, 16, 16)))
+        flow = tvl1_flow(prev, nxt)
+        assert np.isfinite(flow.u).all() and np.isfinite(flow.v).all()
+
     def test_energy_function_zero_for_perfect_static(self):
         tex = smooth_texture(5, 32, 32)
         e = tvl1_energy(tex, tex, FlowField(np.zeros((32, 32)), np.zeros((32, 32))), 0.15)
@@ -241,6 +254,30 @@ class TestVideoFlows:
         assert len(flows) == 4
         for f in flows:
             assert np.hypot(f.u, f.v).mean() <= 0.05
+
+    @pytest.mark.parametrize("extreme", EXTREME_RANGES, ids=EXTREME_IDS)
+    def test_extreme_finite_intensities_give_finite_flows(self, extreme):
+        flows = video_flows(list(extreme(make_rng(44).random((4, 16, 16)))))
+        assert len(flows) == 3
+        for f in flows:
+            assert np.isfinite(f.u).all() and np.isfinite(f.v).all()
+
+    def test_solver_state_stays_float32(self, monkeypatch):
+        # Frames come in and flows go out in float64; every level solves
+        # float32 pairs from float32 flows into float32 flows.
+        calls = []
+        solve = tvl1._solve_level
+
+        def wrapped(pairs, flow, params):
+            out = solve(pairs, flow, params)
+            calls.append((pairs.dtype, flow.dtype, out.dtype))
+            return out
+
+        monkeypatch.setattr(tvl1, "_solve_level", wrapped)
+        flows = video_flows(mixed_clip())
+        assert len(calls) >= 3
+        assert set(calls) == {(np.dtype(np.float32),) * 3}
+        assert all(f.u.dtype == np.float64 and f.v.dtype == np.float64 for f in flows)
 
     def test_too_few_frames(self):
         with pytest.raises(ValueError, match="at least 2"):
