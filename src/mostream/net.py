@@ -5,6 +5,13 @@ central finite differences. Layers: k x k convolution (stride/pad), ReLU,
 2x2 max-pool, fully connected, inverted dropout; the network output is
 always a softmax over the class logits produced by the final layer.
 
+Eval-mode forwards keep no backward caches. The max-pool works on the four
+strided views of its 2x2 windows, with no transposed copy: its output is
+their elementwise maximum, and in train mode it keeps a one-byte index of
+each window's first maximum (argmax's tie rule) for backward. Only a
+window whose maximum is a signed zero may come out with the other zero's
+sign, which a ReLU before the pool rules out.
+
 Training is synchronous mini-batch SGD with momentum, weight decay, and a
 step learning-rate schedule; batches are class-balanced and every sample
 gets a fresh random stack start and multi-scale crop.
@@ -145,17 +152,18 @@ def learning_rate(iteration: int, cfg: TrainConfig) -> float:
 
 
 def _im2col(x, k, stride, pad):
-    # Patch matrix laid out as (n*out_h*out_w, k*k*c): a channel-last
-    # overlapping-window view gathered in one pass, so the convolution GEMM
-    # and its backward need no further transposes of the big buffer. The
-    # matching weight layout is a cheap transpose of the small kernel tensor.
+    # Patch matrix laid out as (n*out_h*out_w, k*k*c): the input is copied
+    # once into the interior of a zero-bordered channel-last buffer, and an
+    # overlapping-window view of it is gathered in one pass, so the
+    # convolution GEMM and its backward need no further transposes of the big
+    # buffer. The matching weight layout is a cheap transpose of the small
+    # kernel tensor.
     n, c, h, w = x.shape
-    if pad:
-        x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    hp, wp = x.shape[2:]
+    hp, wp = h + 2 * pad, w + 2 * pad
     out_h = (hp - k) // stride + 1
     out_w = (wp - k) // stride + 1
-    xcl = np.ascontiguousarray(x.transpose(0, 2, 3, 1))
+    xcl = np.zeros((n, hp, wp, c), dtype=x.dtype)
+    xcl[:, pad : pad + h, pad : pad + w, :] = x.transpose(0, 2, 3, 1)
     sn, sh, sw, sc = xcl.strides
     view = np.lib.stride_tricks.as_strided(
         xcl,
@@ -234,7 +242,8 @@ class _Conv(_Layer):
         spec = self.spec
         flat, out_h, out_w = _im2col(x, spec.kernel, spec.stride, spec.pad)
         n = x.shape[0]
-        y = flat @ self._w2().T + self.b
+        y = flat @ self._w2().T
+        y += self.b
         y = np.ascontiguousarray(
             y.reshape(n, out_h, out_w, spec.out_channels).transpose(0, 3, 1, 2)
         )
@@ -258,13 +267,28 @@ class _Conv(_Layer):
 
 class _Relu(_Layer):
     def forward(self, x, train, rng):
-        return np.maximum(x, 0.0), x > 0
+        return np.maximum(x, 0.0), (x > 0 if train else None)
 
     def backward(self, dout, cache, need_dx=True):
         return (dout * cache if need_dx else None), {}
 
 
 class _Pool(_Layer):
+    """2x2 max-pool with stride 2 over the four strided views
+    x[:, :, r:ch:2, s:cw:2] of the even crop (ch, cw); odd trailing rows and
+    columns are dropped and get zero gradient.
+
+    The output is the np.maximum of the four views. In train mode the cache
+    is the uint8 index of each window's winner in (0,0), (0,1), (1,0), (1,1)
+    order, the first view equal to the maximum (argmax's rule), and backward
+    routes each output gradient to that one position; eval mode keeps no
+    cache. A window whose maximum is a signed zero may return the other
+    zero's sign, since np.maximum does not order -0.0 and +0.0; every pool
+    of a TinyNet follows a ReLU, which never emits -0.0.
+    """
+
+    _OFFSETS = ((0, 0), (0, 1), (1, 0), (1, 1))
+
     @staticmethod
     def shapes(spec, in_shape):
         if len(in_shape) != 3:
@@ -274,32 +298,29 @@ class _Pool(_Layer):
             raise ValueError(f"max-pool input too small: {in_shape}")
         return (c, h // 2, w // 2), {}
 
-    @property
-    def crop(self):
-        # Odd trailing rows/columns fall outside the pooled windows.
+    def _views(self, x):
         _, out_h, out_w = self.out_shape
-        return 2 * out_h, 2 * out_w
+        return [x[:, :, r : 2 * out_h : 2, s : 2 * out_w : 2] for r, s in self._OFFSETS]
 
     def forward(self, x, train, rng):
-        n, c, h, w = x.shape
-        ch, cw = self.crop
-        xv = x[:, :, :ch, :cw].reshape(n, c, ch // 2, 2, cw // 2, 2)
-        xv = xv.transpose(0, 1, 2, 4, 3, 5).reshape(n, c, ch // 2, cw // 2, 4)
-        idx = xv.argmax(axis=-1)
-        y = np.take_along_axis(xv, idx[..., None], axis=-1)[..., 0]
-        return y, (idx, x.shape)
+        views = self._views(x)
+        y = np.maximum(np.maximum(views[0], views[1]), np.maximum(views[2], views[3]))
+        if not train:
+            return y, None
+        # The first view that equals y, from whether views 0..2 miss it:
+        # miss0 * (1 + miss1 * (1 + miss2)).
+        idx = (views[2] != y).view(np.uint8) + np.uint8(1)
+        idx *= views[1] != y
+        idx += 1
+        idx *= views[0] != y
+        return y, idx
 
     def backward(self, dout, cache, need_dx=True):
         if not need_dx:
             return None, {}
-        idx, x_shape = cache
-        n, c, h, w = x_shape
-        ch, cw = self.crop
-        dxv = np.zeros((n, c, ch // 2, cw // 2, 4))
-        np.put_along_axis(dxv, idx[..., None], dout[..., None], axis=-1)
-        dxv = dxv.reshape(n, c, ch // 2, cw // 2, 2, 2).transpose(0, 1, 2, 4, 3, 5)
-        dx = np.zeros(x_shape)
-        dx[:, :, :ch, :cw] = dxv.reshape(n, c, ch, cw)
+        dx = np.zeros((dout.shape[0],) + self.in_shape)
+        for i, view in enumerate(self._views(dx)):
+            view[...] = np.where(cache == i, dout, 0.0)
         return dx, {}
 
 

@@ -14,6 +14,9 @@ from mostream.net import (
     SgdState,
     TinyNet,
     TrainConfig,
+    _im2col,
+    _Pool,
+    _Relu,
     desk_net_config,
     learning_rate,
     load_checkpoint,
@@ -218,6 +221,131 @@ class TestFirstLayerInputGradient:
         x = make_rng(74).normal(size=(2,) + config.input_shape)
         net.loss_and_grads(x, np.array([0, 1]), make_rng(75))
         assert seen == scattered
+
+
+def reference_pool_forward(x):
+    """The earlier 2x2 pool: a transposed (..., 4) copy of the windows, argmax
+    (first maximum wins) and take_along_axis; returns (y, int64 index)."""
+    n, c, h, w = x.shape
+    ch, cw = 2 * (h // 2), 2 * (w // 2)
+    xv = x[:, :, :ch, :cw].reshape(n, c, ch // 2, 2, cw // 2, 2)
+    xv = xv.transpose(0, 1, 2, 4, 3, 5).reshape(n, c, ch // 2, cw // 2, 4)
+    idx = xv.argmax(axis=-1)
+    return np.take_along_axis(xv, idx[..., None], axis=-1)[..., 0], idx
+
+
+def reference_pool_backward(dout, idx, x_shape):
+    n, c, h, w = x_shape
+    ch, cw = 2 * (h // 2), 2 * (w // 2)
+    dxv = np.zeros((n, c, ch // 2, cw // 2, 4))
+    np.put_along_axis(dxv, idx[..., None], dout[..., None], axis=-1)
+    dxv = dxv.reshape(n, c, ch // 2, cw // 2, 2, 2).transpose(0, 1, 2, 4, 3, 5)
+    dx = np.zeros(x_shape)
+    dx[:, :, :ch, :cw] = dxv.reshape(n, c, ch, cw)
+    return dx
+
+
+def pool_inputs(shape, seed):
+    """Pool inputs rich in ties: ReLU output (all-zero windows), one value
+    everywhere, and a few repeated integers; none holds -0.0."""
+    rng = make_rng(seed)
+    return {
+        "relu": np.maximum(rng.normal(size=shape), 0.0),
+        "all_equal": np.full(shape, 1.5),
+        "repeats": rng.integers(0, 3, size=shape).astype(np.float64),
+    }
+
+
+POOL_SHAPES = [(3, 2, 3, 3), (2, 3, 5, 5), (3, 1, 7, 7), (2, 2, 4, 6), (4, 2, 7, 4)]
+
+
+class TestPool:
+    """The pool against the earlier argmax pool it replaced.
+
+    Each window's winner is the first of (0,0), (0,1), (1,0), (1,1) equal to
+    its maximum, argmax's rule, so the gradients match byte for byte. The
+    outputs match byte for byte unless a window's maximum is a signed zero:
+    np.maximum may return either zero there (here it returns its second
+    operand), while argmax picks the first. A TinyNet pool always follows a
+    ReLU, and np.maximum(x, 0.0) never emits -0.0.
+    """
+
+    @pytest.mark.parametrize("shape", POOL_SHAPES)
+    def test_matches_the_argmax_pool(self, shape):
+        pool = _Pool(PoolSpec(), shape[1:], None)
+        for kind, x in pool_inputs(shape, seed=sum(shape)).items():
+            y, idx = pool.forward(x, True, None)
+            ref_y, ref_idx = reference_pool_forward(x)
+            assert y.tobytes() == ref_y.tobytes() and y.shape == ref_y.shape, kind
+            assert idx.dtype == np.uint8 and idx.shape == y.shape, kind
+            assert np.array_equal(idx, ref_idx), kind
+            dout = make_rng(1).normal(size=y.shape)
+            dout[0, 0, 0, 0] = -0.0
+            dx, grads = pool.backward(dout, idx)
+            assert grads == {}
+            assert dx.tobytes() == reference_pool_backward(dout, ref_idx, x.shape).tobytes(), kind
+
+    @pytest.mark.parametrize("shape", POOL_SHAPES)
+    def test_signed_zero_windows_match_as_numbers(self, shape):
+        x = make_rng(2).choice(np.array([-0.0, 0.0, -1.0]), size=shape)
+        pool = _Pool(PoolSpec(), shape[1:], None)
+        y, idx = pool.forward(x, True, None)
+        ref_y, ref_idx = reference_pool_forward(x)
+        assert np.array_equal(y, ref_y)
+        assert np.array_equal(idx, ref_idx)
+        dout = make_rng(3).normal(size=y.shape)
+        assert pool.backward(dout, idx)[0].tobytes() == reference_pool_backward(dout, ref_idx, x.shape).tobytes()
+
+    def test_relu_emits_no_negative_zero(self):
+        for size in (1, 7, 64, 1001):
+            for offset in range(3):
+                x = np.full(size + offset, -0.0)[offset:]
+                assert not np.signbit(np.maximum(x, 0.0)).any(), (size, offset)
+
+    def test_eval_mode_keeps_no_cache(self):
+        shape = (3, 2, 7, 6)
+        x = pool_inputs(shape, seed=4)["relu"]
+        pool = _Pool(PoolSpec(), shape[1:], None)
+        y, cache = pool.forward(x, False, None)
+        assert cache is None
+        assert y.tobytes() == pool.forward(x, True, None)[0].tobytes()
+
+
+def reference_im2col(x, k, stride, pad):
+    """The earlier patch matrix: np.pad, then a channel-last copy."""
+    n, c, h, w = x.shape
+    if pad:
+        x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    hp, wp = x.shape[2:]
+    out_h = (hp - k) // stride + 1
+    out_w = (wp - k) // stride + 1
+    xcl = np.ascontiguousarray(x.transpose(0, 2, 3, 1))
+    sn, sh, sw, sc = xcl.strides
+    view = np.lib.stride_tricks.as_strided(
+        xcl, shape=(n, out_h, out_w, k, k, c), strides=(sn, sh * stride, sw * stride, sh, sw, sc)
+    )
+    return np.ascontiguousarray(view).reshape(n * out_h * out_w, k * k * c), out_h, out_w
+
+
+class TestIm2col:
+    @pytest.mark.parametrize("k, stride, pad", [(3, 1, 1), (3, 2, 1), (3, 2, 0), (1, 1, 0), (3, 1, 2)])
+    def test_matches_pad_then_transpose(self, k, stride, pad):
+        x = make_rng(5).normal(size=(2, 3, 7, 6))
+        flat, out_h, out_w = _im2col(x, k, stride, pad)
+        ref, ref_h, ref_w = reference_im2col(x, k, stride, pad)
+        assert (out_h, out_w) == (ref_h, ref_w)
+        assert flat.shape == ref.shape and flat.tobytes() == ref.tobytes()
+
+
+class TestRelu:
+    def test_eval_mode_keeps_no_cache(self):
+        x = make_rng(6).normal(size=(2, 3, 5, 5))
+        relu = _Relu(ReluSpec(), x.shape[1:], None)
+        y, cache = relu.forward(x, False, None)
+        train_y, mask = relu.forward(x, True, None)
+        assert cache is None
+        assert y.tobytes() == train_y.tobytes()
+        assert np.array_equal(mask, x > 0)
 
 
 class TestDropout:
