@@ -303,16 +303,22 @@ class _Pool(_Layer):
         return [x[:, :, r : 2 * out_h : 2, s : 2 * out_w : 2] for r, s in self._OFFSETS]
 
     def forward(self, x, train, rng):
+        # Steps write in place, so a train forward allocates only y, the
+        # index and one mask.
         views = self._views(x)
-        y = np.maximum(np.maximum(views[0], views[1]), np.maximum(views[2], views[3]))
+        y = np.maximum(views[0], views[1])
+        np.maximum(y, views[2], out=y)
+        np.maximum(y, views[3], out=y)
         if not train:
             return y, None
-        # The first view that equals y, from whether views 0..2 miss it:
+        # The first view equal to y, from whether views 0..2 miss it:
         # miss0 * (1 + miss1 * (1 + miss2)).
-        idx = (views[2] != y).view(np.uint8) + np.uint8(1)
-        idx *= views[1] != y
+        idx = np.not_equal(views[2], y).view(np.uint8)
         idx += 1
-        idx *= views[0] != y
+        miss = np.empty(y.shape, dtype=bool)
+        idx *= np.not_equal(views[1], y, out=miss)
+        idx += 1
+        idx *= np.not_equal(views[0], y, out=miss)
         return y, idx
 
     def backward(self, dout, cache, need_dx=True):
