@@ -29,7 +29,7 @@ from .fusion import (
     fuse,
     predict_from_pairs,
 )
-from .mos import DEFAULT_STREAM, MAG_BOUNDS, ORI_BOUNDS, STREAMS, MosParams
+from .mos import DEFAULT_STREAM, MAG_BOUNDS, ORI_BOUNDS, STREAMS, MosParams, magnitude, orientation
 from .raster import RescaleBounds, make_rng
 from .tvl1 import Tvl1Params, video_flows
 from .volume import DEFAULT_STACK_LENGTH, StackSpec, stack_volume
@@ -250,10 +250,10 @@ def cmd_eval(args):
 
 
 def _flow_color(flow, max_mag=None):
-    mag = np.hypot(flow.u, flow.v)
-    angle = np.degrees(np.arctan2(flow.v, flow.u))
+    mag = magnitude(flow)
     peak = max_mag if max_mag else max(mag.max(), 1e-9)
-    hue = (angle + 180.0) / 360.0
+    # Orientation's (-180, 180] puts -180 at 180, and both are hue sextant 0 with fraction 0.
+    hue = (orientation(flow) + 180.0) / 360.0
     val = np.clip(mag / peak, 0.0, 1.0)
     # HSV -> RGB with saturation 1
     i = np.floor(hue * 6.0).astype(int) % 6

@@ -11,7 +11,7 @@ from typing import Callable
 import numpy as np
 
 from .augment import apply_crop, random_multiscale_crop
-from .formats import FormatError, ManifestEntry, read_pgm, read_ppm
+from .formats import FormatError, ManifestEntry, manifest_classes, read_pgm, read_ppm
 from .fusion import pairs_from_frames
 from .mos import STREAMS, MosParams, stream_of
 from .net import DEFAULT_INPUT_SIDE
@@ -127,9 +127,8 @@ def _group_clips(entries: list[ManifestEntry], root, pairs_of: Callable, progres
     gives a clip's byte pairs. Missing clip directories are reported
     before any file is read."""
     root = Path(root)
-    classes = [None] * (max(e.class_index for e in entries) + 1)
+    classes = manifest_classes(entries)
     for e in entries:
-        classes[e.class_index] = e.label
         if not (root / e.path).is_dir():
             raise ValueError(f"clip directory missing: {root / e.path}")
     train_by_class = [[] for _ in classes]

@@ -64,6 +64,12 @@ class SyntheticSpec:
             raise ValueError("clips_per_class must be >= 1")
         if not np.isfinite(self.speeds).all():
             raise ValueError(f"speeds must be finite, got {self.speeds}")
+        for speed in self.speeds:
+            if not speed > 0.0:
+                raise ValueError(f"speeds must be positive, got {speed:g}")
+            # Zoom-out scales by 1 - 0.01 * speed per frame, which must stay positive.
+            if "zoom" in self.motions and not speed < 100.0:
+                raise ValueError(f"zoom speeds must be below 100, got {speed:g}")
         if not 0.0 < self.train_fraction < 1.0:
             raise ValueError(f"train_fraction must lie in (0, 1), got {self.train_fraction}")
         unknown = set(self.motions) - {"translate", "rotate", "zoom"}

@@ -1,14 +1,12 @@
 import numpy as np
-from scipy.ndimage import gaussian_filter
 
 from mostream.raster import bilinear_map, make_rng
+from mostream.synth import _texture
 
 
-def smooth_texture(seed, h, w, sigma=1.5):
-    """Seeded smoothed-noise texture scaled to [0, 255]."""
-    tex = gaussian_filter(make_rng(seed).standard_normal((h, w)), sigma, mode="wrap")
-    tex -= tex.min()
-    return tex * (255.0 / tex.max())
+def smooth_texture(seed, h, w):
+    """Seeded smoothed-noise texture scaled to [0, 255], by synth's rule."""
+    return _texture(make_rng(seed), h, w)
 
 
 def shift_image(img, dx, dy):
@@ -25,6 +23,12 @@ def interior_mask(h, w, fraction=0.8):
     mask = np.zeros((h, w), dtype=bool)
     mask[my : h - my, mx : w - mx] = True
     return mask
+
+
+def interior_epe(flow, u, v):
+    """Mean endpoint error of `flow` against the displacement (u, v) over
+    `interior_mask`; u and v are scalars or arrays of the flow's shape."""
+    return np.hypot(flow.u - u, flow.v - v)[interior_mask(*flow.shape)].mean()
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

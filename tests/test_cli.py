@@ -1,5 +1,6 @@
 import argparse
 import dataclasses
+import hashlib
 import json
 import shutil
 import struct
@@ -502,6 +503,19 @@ def test_synth_repeated_label_writes_nothing(tmp_path, capsys, flag, value, labe
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["--speeds", "-1"], ["--speeds", "0"], ["--motions", "zoom", "--speeds", "100"]],
+    ids=["negative", "zero", "zoom_100"],
+)
+def test_synth_bad_speed_writes_nothing(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    assert main(["synth", str(out), *argv]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ") and argv[-1] in err, err
+    assert not out.exists()
+
+
 class TestViz:
     def test_flow_to_ppm(self, tiny_dataset, tmp_path):
         clip = tiny_dataset / "right_s2" / "clip_001"
@@ -512,6 +526,27 @@ class TestViz:
         from mostream.formats import read_ppm
 
         assert read_ppm(out).shape == (32, 32, 3)
+
+    @pytest.mark.parametrize(
+        "extra, sha256",
+        [
+            ([], "30f95202c744e0f531bfd08194023d5f782e0ba85c3eb2120a9c77aa42798afb"),
+            (["--max-mag", "2.5"], "6c912da2a27ff84774b84b720f45f3ba8c807a598310b7b50743e73877c90bd8"),
+            (["--max-mag", "0"], "30f95202c744e0f531bfd08194023d5f782e0ba85c3eb2120a9c77aa42798afb"),
+        ],
+        ids=["auto_peak", "max_mag", "max_mag_zero"],
+    )
+    def test_colours_keep_their_bits(self, tmp_path, extra, sha256):
+        # Seeded vectors plus the edge cases of the hue wheel: u < 0 on the
+        # negative axis with v = -0.0 and v = +0.0 (angle -180 and +180),
+        # and zero vectors of either sign.
+        rng = make_rng(61)
+        u, v = 4.0 * rng.standard_normal((2, 12, 16))
+        u[0, :4], v[0, :4] = (-2.0, -2.0, 0.0, -0.0), (-0.0, 0.0, 0.0, -0.0)
+        u[1, :2], v[1, :2] = (-7.5, 3.0), (-0.0, 0.0)
+        write_flo(tmp_path / "in.flo", FlowField(u, v))
+        assert main(["viz", str(tmp_path / "in.flo"), str(tmp_path / "out.ppm"), *extra]) == 0
+        assert hashlib.sha256((tmp_path / "out.ppm").read_bytes()).hexdigest() == sha256
 
 
 class TestExitCodes:

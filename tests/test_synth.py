@@ -27,6 +27,15 @@ class TestSpec:
         with pytest.raises(ValueError, match="motion"):
             SyntheticSpec(motions=("spin",))
 
+    @pytest.mark.parametrize(
+        "motions, speed",
+        [(("translate",), -1.0), (("rotate",), 0.0), (("translate", "zoom"), 100.0), (("zoom",), 150.0)],
+        ids=["negative", "zero", "zoom_100", "zoom_150"],
+    )
+    def test_speed_that_breaks_a_class_rejected(self, motions, speed):
+        with pytest.raises(ValueError, match=f"got {speed:g}$"):
+            SyntheticSpec(motions=motions, speeds=(1.0, speed))
+
     def test_rotate_and_zoom_classes(self):
         spec = SyntheticSpec(motions=("rotate", "zoom"), speeds=(2.0,))
         labels = [c.label for c in spec.classes()]
