@@ -22,6 +22,12 @@ neither side) and a verdict:
   relative to its median, and not every change run beats every parent run;
 - ``flat``: none of these.
 
+The two checkouts should be sibling directories (one parent directory):
+set-up time follows the files deleted recently on the disk, so checkouts
+in different places can read different set-up times for the same code.
+Each set records ``sibling_checkouts``, and a warning goes to stderr when
+they are not siblings.
+
 Example, from the root of the change's checkout:
 
     python3 scripts/bench_pairs.py --parent ../parent --change . \\
@@ -61,6 +67,12 @@ def parse_args(argv):
         if not (side / "perfbench" / "run.py").is_file():
             parser.error(f"{side} has no perfbench/run.py")
     return args
+
+
+def sibling_checkouts(parent: Path, change: Path) -> bool:
+    """Whether the two checkouts are distinct directories with one parent."""
+    parent, change = parent.resolve(), change.resolve()
+    return parent != change and parent.parent == change.parent
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -128,6 +140,10 @@ def main(argv=None) -> int:
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
     seconds = spec["run_seconds"]
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    siblings = sibling_checkouts(sides["parent"], sides["change"])
+    if not siblings:
+        print(f"warning: {sides['parent']} and {sides['change']} are not sibling directories; "
+              "setup_s may differ between them for the same code", file=sys.stderr, flush=True)
     runs = {"parent": [], "change": []}
     for i in range(args.pairs):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
@@ -144,6 +160,7 @@ def main(argv=None) -> int:
         "seed": args.seed,
         "seconds": seconds,
         "pairs": args.pairs,
+        "sibling_checkouts": siblings,
         "machine": {"nproc": os.cpu_count(), "arch": platform.machine(), "python": platform.python_version(),
                     "numpy": np.__version__},
         "digests": digests,

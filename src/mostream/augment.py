@@ -40,14 +40,18 @@ class CropSpec:
             raise ValueError(f"crop origin must be non-negative, got ({self.x}, {self.y})")
 
 
-def five_crops(w: int, h: int, crop_w: int, crop_h: int, out_side: int) -> list[CropSpec]:
-    """Four corner crops plus the centered crop, unflipped."""
+def _five_origins(w: int, h: int, crop_w: int, crop_h: int) -> tuple[tuple[int, int], ...]:
+    """(x, y) origins of the four corner crops and the centered crop."""
     if crop_w > w or crop_h > h:
         raise ValueError(f"crop {crop_w}x{crop_h} larger than source {w}x{h}")
     dx = w - crop_w
     dy = h - crop_h
-    positions = [(0, 0), (dx, 0), (0, dy), (dx, dy), (dx // 2, dy // 2)]
-    return [CropSpec(x, y, crop_w, crop_h, False, out_side) for x, y in positions]
+    return (0, 0), (dx, 0), (0, dy), (dx, dy), (dx // 2, dy // 2)
+
+
+def five_crops(w: int, h: int, crop_w: int, crop_h: int, out_side: int) -> list[CropSpec]:
+    """Four corner crops plus the centered crop, unflipped."""
+    return [CropSpec(x, y, crop_w, crop_h, False, out_side) for x, y in _five_origins(w, h, crop_w, crop_h)]
 
 
 def ten_crops(w: int, h: int, crop_w: int, crop_h: int, out_side: int) -> list[CropSpec]:
@@ -66,9 +70,9 @@ def random_multiscale_crop(w: int, h: int, rng: Rng, out_side: int) -> CropSpec:
     crop_h = int(np.floor(fractions[rng_uniform(rng, len(fractions))] * base + 0.5))
     crop_w = max(1, crop_w)
     crop_h = max(1, crop_h)
-    position = five_crops(w, h, crop_w, crop_h, out_side)[rng_uniform(rng, 5)]
+    x, y = _five_origins(w, h, crop_w, crop_h)[rng_uniform(rng, 5)]
     flip = rng_uniform(rng, 2) == 1
-    return CropSpec(position.x, position.y, crop_w, crop_h, flip, out_side)
+    return CropSpec(x, y, crop_w, crop_h, flip, out_side)
 
 
 def apply_crop(volume: InputVolume, spec: CropSpec) -> InputVolume:

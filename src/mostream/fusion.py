@@ -4,8 +4,11 @@ A video's prediction starts from its byte pairs and averages eval-mode
 scores over k temporal samples times the ten-crop set (4 corners + center,
 plus mirrors). A short video repeats sample starts; a repeated start is
 forwarded once and its scores count once per sample, so the k x 10 average
-is unchanged. Streams fuse by a weighted sum of their per-class
-probability vectors, renormalized.
+is unchanged. Distinct starts run in ascending order, and each one stacks
+and crops only the pairs the previous start's window did not hold; the
+channels the two windows share are reused, with the same bits. Streams
+fuse by a weighted sum of their per-class probability vectors,
+renormalized.
 """
 
 from __future__ import annotations
@@ -85,12 +88,18 @@ def predict_from_pairs(net, pairs, params: PredictParams, video_id: str = "") ->
 
     # Each distinct start is forwarded once, as its own ten-crop batch; the
     # crop sums are then added in the order of `starts`, so the average is
-    # bit for bit the one of forwarding every sample.
+    # bit for bit the one of forwarding every sample. Crops act channel by
+    # channel, so a start keeps the channels of the previous start's batch
+    # that its window shares and stacks and crops only its new pairs.
     crop_sums = {}
-    for start in dict.fromkeys(starts):
-        vol = stack_volume(pairs, start, params.stack)
-        batch = np.stack([apply_crop(vol, c) for c in crops])
+    batch, prev = None, None
+    for start in sorted(set(starts)):
+        first_new = start if prev is None else max(start, prev + length)
+        vol = stack_volume(pairs, first_new, StackSpec(start + length - first_new))
+        new = np.stack([apply_crop(vol, c) for c in crops])
+        batch = new if first_new == start else np.concatenate([batch[:, 2 * (start - prev) :], new], axis=1)
         crop_sums[start] = net.forward(batch).sum(axis=0)
+        prev = start
     total = crop_sums[starts[0]]
     for start in starts[1:]:
         total = total + crop_sums[start]

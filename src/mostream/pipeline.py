@@ -10,7 +10,7 @@ from typing import Callable
 
 import numpy as np
 
-from .augment import apply_crop, random_multiscale_crop
+from .augment import CropSpec, apply_crop, random_multiscale_crop
 from .formats import FormatError, ManifestEntry, manifest_classes, read_pgm, read_ppm
 from .fusion import pairs_from_frames
 from .mos import STREAMS, MosParams, stream_of
@@ -186,8 +186,13 @@ class TrainPipeline:
     out_side: int = DEFAULT_INPUT_SIDE
 
     def make_volume(self, clip: Clip, rng: Rng) -> np.ndarray:
-        start = sample_train_start(len(clip.pairs), self.stack.stack_length, rng)
-        vol = stack_volume(clip.pairs, start, self.stack)
-        h, w = vol.shape[1:]
+        length = self.stack.stack_length
+        start = sample_train_start(len(clip.pairs), length, rng)
+        h, w = np.shape(clip.pairs[start][0])
         crop = random_multiscale_crop(w, h, rng, self.out_side)
-        return apply_crop(vol, crop)
+        # Normalizing, flipping and resizing act element by element, so the
+        # byte window stacked and cropped at the origin is the same volume.
+        rows, cols = slice(crop.y, crop.y + crop.crop_h), slice(crop.x, crop.x + crop.crop_w)
+        window = [(first[rows, cols], second[rows, cols]) for first, second in clip.pairs[start : start + length]]
+        at_origin = CropSpec(0, 0, crop.crop_w, crop.crop_h, crop.flip, crop.out_side)
+        return apply_crop(stack_volume(window, 0, self.stack), at_origin)

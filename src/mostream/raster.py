@@ -16,6 +16,7 @@ Conventions used across the package:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -106,6 +107,21 @@ def bilinear_map(img: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     return top * (1.0 - fy) + bot * fy
 
 
+@functools.lru_cache(maxsize=256)
+def _resize_axis(in_size: int, out_size: int, dtype: np.dtype):
+    """Corner-aligned sample indices (i0, i1) and weights (f, 1 - f) of one
+    resize axis, read-only so that every caller can share them. The
+    weights are computed in float64 and rounded once to `dtype`."""
+    pos = np.linspace(0.0, in_size - 1.0, out_size)
+    i0 = np.floor(pos).astype(np.intp)
+    i1 = np.minimum(i0 + 1, in_size - 1)
+    f = (pos - i0).astype(dtype, copy=False)
+    g = 1.0 - f
+    for a in (i0, i1, f, g):
+        a.flags.writeable = False
+    return i0, i1, f, g
+
+
 def resize_bilinear(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     """Corner-aligned bilinear resize of the last two axes of (..., H, W):
     a horizontal pass, then a blend of rows, each output element getting the
@@ -116,17 +132,21 @@ def resize_bilinear(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     in_h, in_w = img.shape[-2:]
     if (in_h, in_w) == (out_h, out_w):
         return img.copy()
-    xs = np.linspace(0.0, in_w - 1.0, out_w)
-    ys = np.linspace(0.0, in_h - 1.0, out_h)
-    x0 = np.floor(xs).astype(np.intp)
-    y0 = np.floor(ys).astype(np.intp)
-    x1 = np.minimum(x0 + 1, in_w - 1)
-    y1 = np.minimum(y0 + 1, in_h - 1)
-    # Weights in float64, rounded once to the image's precision.
-    fx = (xs - x0).astype(img.dtype, copy=False)
-    fy = (ys - y0).astype(img.dtype, copy=False)[:, None]
-    rows = img[..., x0] * (1.0 - fx) + img[..., x1] * fx
-    return rows[..., y0, :] * (1.0 - fy) + rows[..., y1, :] * fy
+    x0, x1, fx, gx = _resize_axis(in_w, out_w, img.dtype)
+    y0, y1, fy, gy = _resize_axis(in_h, out_h, img.dtype)
+    # rows = img[..., x0] * (1 - fx) + img[..., x1] * fx, and likewise down
+    # the rows, each product and sum rounded as in that expression.
+    rows = np.take(img, x0, axis=-1)
+    rows *= gx
+    part = np.take(img, x1, axis=-1)
+    part *= fx
+    rows += part
+    out = np.take(rows, y0, axis=-2)
+    out *= gy[:, None]
+    part = np.take(rows, y1, axis=-2)
+    part *= fy[:, None]
+    out += part
+    return out
 
 
 def to_gray(rgb: np.ndarray) -> GrayImage:

@@ -1,4 +1,5 @@
-"""The verdicts of `scripts/bench_pairs.py`'s `compare`, on small run lists."""
+"""The verdicts of `scripts/bench_pairs.py`'s `compare`, on small run lists,
+and its check that the two checkouts are siblings."""
 
 import importlib.util
 from pathlib import Path
@@ -16,16 +17,20 @@ WIDE = [60.0, 140.0, 70.0, 130.0, 80.0, 120.0, 90.0, 110.0, 100.0, 100.0]
 
 
 @pytest.fixture(scope="module")
-def compare():
+def bench_pairs():
     spec = importlib.util.spec_from_file_location("bench_pairs", BENCH_PAIRS_PATH)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
+    return module
 
+
+@pytest.fixture(scope="module")
+def compare(bench_pairs):
     def run(metric, parent, change):
         def runs(values):
             return [{"metrics": {metric["name"]: v}} for v in values]
 
-        return module.compare(metric, runs(parent), runs(change))
+        return bench_pairs.compare(metric, runs(parent), runs(change))
 
     return run
 
@@ -75,3 +80,18 @@ class TestVerdicts:
         assert (result["change_wins"], result["parent_wins"]) == (8, 0)
         # Eight wins in ten pairs fall short of the nine a gain needs.
         assert result["verdict"] == "flat"
+
+
+def test_siblings(bench_pairs, tmp_path):
+    (tmp_path / "parent").mkdir()
+    (tmp_path / "change").mkdir()
+    assert bench_pairs.sibling_checkouts(tmp_path / "parent", tmp_path / "change")
+    # A relative path that resolves into the same directory counts too.
+    assert bench_pairs.sibling_checkouts(tmp_path / "change" / ".." / "parent", tmp_path / "change")
+
+
+@pytest.mark.parametrize("parent", ["deeper/parent", "change"], ids=["other_directory", "same_checkout"])
+def test_not_siblings(bench_pairs, tmp_path, parent):
+    (tmp_path / parent).mkdir(parents=True, exist_ok=True)
+    (tmp_path / "change").mkdir(exist_ok=True)
+    assert not bench_pairs.sibling_checkouts(tmp_path / parent, tmp_path / "change")

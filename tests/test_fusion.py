@@ -159,12 +159,34 @@ def reference_scores(net, pairs, params):
 
 class TestRepeatedStarts:
     @pytest.mark.parametrize(
-        "pair_count, stack_length, k, distinct",
-        [(1, 1, 1, 1), (11, 10, 1, 1), (11, 10, 25, 2), (40, 10, 25, 25), (12, 10, 40, 3), (13, 2, 25, 12)],
-        ids=["one_pair", "k1", "desk", "all_distinct", "k_over_distinct", "some_repeats"],
+        "pair_count, stack_length, k, distinct, frame",
+        [
+            (1, 1, 1, 1, (16, 16)),
+            (11, 10, 1, 1, (16, 16)),
+            (11, 10, 25, 2, (16, 16)),
+            (40, 10, 25, 25, (16, 16)),
+            (12, 10, 40, 3, (16, 16)),
+            (13, 2, 25, 12, (16, 16)),
+            # Starts 0, 19, 38, 57: no two windows share a pair.
+            (60, 3, 4, 4, (16, 16)),
+            # Starts 0, 5, 9, 14: neighbours share 1, 2 and 1 pairs.
+            (20, 6, 4, 4, (16, 16)),
+            (20, 6, 4, 4, (22, 16)),
+        ],
+        ids=[
+            "one_pair",
+            "k1",
+            "desk",
+            "all_distinct",
+            "k_over_distinct",
+            "some_repeats",
+            "gapped",
+            "partly_overlapping",
+            "partly_overlapping_non_square",
+        ],
     )
-    def test_one_forward_per_distinct_start_same_bits(self, monkeypatch, pair_count, stack_length, k, distinct):
-        pairs = fake_pairs(60 + pair_count, pair_count)
+    def test_one_forward_per_distinct_start_same_bits(self, monkeypatch, pair_count, stack_length, k, distinct, frame):
+        pairs = fake_pairs(60 + pair_count, pair_count, *frame)
         params = PredictParams(stack=StackSpec(stack_length), k_samples=k, out_side=14)
         model = TinyNet(desk_net_config(input_shape=(2 * stack_length, 14, 14), num_classes=4), make_rng(61))
         expected = reference_scores(model, pairs, params)

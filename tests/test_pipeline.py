@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mostream.augment import apply_crop, five_crops, random_multiscale_crop
 from mostream.formats import FormatError, ManifestEntry, read_pgm, write_pgm
 from mostream.mos import MosPair, XyPair
 from mostream.pipeline import (
@@ -13,7 +14,7 @@ from mostream.pipeline import (
 )
 from mostream.raster import make_rng
 from mostream.synth import SyntheticSpec, gen_synthetic
-from mostream.volume import StackSpec
+from mostream.volume import StackSpec, sample_train_start, stack_volume
 
 
 class TestReadClipFrames:
@@ -163,3 +164,24 @@ class TestTrainPipeline:
         a = pipe.make_volume(clip, make_rng(5))
         b = pipe.make_volume(clip, make_rng(5))
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("h, w", [(64, 64), (48, 64)])
+    def test_crop_first_equals_stack_then_crop(self, h, w):
+        # make_volume stacks only the crop window's bytes; the volume must be
+        # the bytes of cropping the whole stack with the same draws.
+        pipe = TrainPipeline(stack=StackSpec(10), out_side=32)
+        clip = self.make_clip(6, h, w, count=11)
+        sizes, positions, flips = set(), set(), set()
+        for i in range(400):
+            got = pipe.make_volume(clip, make_rng(7, i))
+            rng = make_rng(7, i)
+            start = sample_train_start(len(clip.pairs), 10, rng)
+            crop = random_multiscale_crop(w, h, rng, 32)
+            expected = apply_crop(stack_volume(clip.pairs, start, pipe.stack), crop)
+            assert got.tobytes() == expected.tobytes()
+            sizes.add((crop.crop_w, crop.crop_h))
+            origins = [(c.x, c.y) for c in five_crops(w, h, crop.crop_w, crop.crop_h, 32)]
+            if len(set(origins)) == 5:
+                positions.add(origins.index((crop.x, crop.y)))
+            flips.add(crop.flip)
+        assert (len(sizes), positions, flips) == (16, set(range(5)), {False, True})

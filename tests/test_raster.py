@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mostream import raster
 from mostream.raster import (
     FlowField,
     RescaleBounds,
@@ -126,6 +127,40 @@ class TestResize:
         assert hashlib.sha256(resize_bilinear(window, 32, 32).tobytes()).hexdigest() == (
             "21f66cc6cba9917610e5e3f7c3cca72c554b9cec02e97ac05e5473c9c05d22f7"
         )
+
+
+class TestResizeWeightCache:
+    """`resize_bilinear` shares read-only axis weights per (sizes, dtype)."""
+
+    def test_alternating_dtypes_keep_dtype_and_bits(self):
+        images = [make_rng(10 + i).random((3, 24, 40)) for i in range(3)]
+        fresh = {}
+        for img in images:
+            for dtype in (np.float32, np.float64):
+                raster._resize_axis.cache_clear()
+                fresh[id(img), dtype] = resize_bilinear(img.astype(dtype), 17, 29)
+        for _ in range(2):
+            for img in images:
+                for dtype in (np.float32, np.float64, np.float32):
+                    out = resize_bilinear(img.astype(dtype), 17, 29)
+                    assert out.dtype == dtype
+                    assert out.tobytes() == fresh[id(img), dtype].tobytes()
+
+    def test_cached_arrays_are_read_only(self):
+        resize_bilinear(make_rng(11).random((6, 9)), 4, 5)
+        for dtype in (np.float32, np.float64):
+            for array in raster._resize_axis(9, 5, np.dtype(dtype)):
+                assert not array.flags.writeable
+                with pytest.raises(ValueError):
+                    array[0] = 0
+
+    def test_identity_size_returns_a_copy(self):
+        img = make_rng(12).random((5, 7))
+        resize_bilinear(img, 9, 9)
+        out = resize_bilinear(img, 5, 7)
+        assert not np.shares_memory(out, img)
+        out[0, 0] = -1.0
+        assert img[0, 0] != -1.0
 
 
 class TestSamplerPrecision:
