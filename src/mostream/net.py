@@ -5,12 +5,24 @@ central finite differences. Layers: k x k convolution (stride/pad), ReLU,
 2x2 max-pool, fully connected, inverted dropout; the network output is
 always a softmax over the class logits produced by the final layer.
 
-Eval-mode forwards keep no backward caches. The max-pool works on the four
-strided views of its 2x2 windows, with no transposed copy: its output is
-their elementwise maximum, and in train mode it keeps a one-byte index of
-each window's first maximum (argmax's tie rule) for backward. Only a
-window whose maximum is a signed zero may come out with the other zero's
-sign, which a ReLU before the pool rules out.
+Eval-mode forwards keep no backward caches. A convolution's train cache is
+its padded channel-last input (n, h+2p, w+2p, c), k^2 times smaller than the
+patch matrix (n*out_h*out_w, k*k*c), which backward rebuilds from it in one
+copy. The forward copies the patch rows of a block of whole samples at a
+time into one reused buffer and runs one 2-D GEMM per block; a block is
+the fewest samples whose patch rows reach _CONV_BLOCK_BYTES (1 MiB), so a
+batch that fits in one block runs one GEMM over all of it. Each output is
+the same k*k*c-term dot product under any blocking, so the bits equal one
+GEMM over the batch only while the BLAS takes one kernel path for every
+block's shape; OpenBLAS switches to a small-matrix kernel, which sums in
+another order, for small shapes. No BLAS promises this: the checkpoint pins
+and the benchmark digests check it on the BLAS they run with.
+
+The max-pool works on the four strided views of its 2x2 windows, with no
+transposed copy: its output is their elementwise maximum, and in train mode
+it keeps a one-byte index of each window's first maximum (argmax's tie
+rule) for backward. Only a window whose maximum is a signed zero may come
+out with the other zero's sign, which a ReLU before the pool rules out.
 
 Training is synchronous mini-batch SGD with momentum, weight decay, and a
 step learning-rate schedule; batches are class-balanced and every sample
@@ -150,27 +162,26 @@ def learning_rate(iteration: int, cfg: TrainConfig) -> float:
 # --------------------------------------------------------------------------
 # layers
 
+# A convolution forward runs one GEMM per block of whole samples: the fewest
+# samples whose patch rows reach this many bytes.
+_CONV_BLOCK_BYTES = 1 << 20
 
-def _im2col(x, k, stride, pad):
-    # Patch matrix laid out as (n*out_h*out_w, k*k*c): the input is copied
-    # once into the interior of a zero-bordered channel-last buffer, and an
-    # overlapping-window view of it is gathered in one pass, so the
-    # convolution GEMM and its backward need no further transposes of the big
-    # buffer. The matching weight layout is a cheap transpose of the small
-    # kernel tensor.
-    n, c, h, w = x.shape
-    hp, wp = h + 2 * pad, w + 2 * pad
+
+def _windows(xp, k, stride):
+    # Overlapping-window view (n, out_h, out_w, k, k, c) of a padded
+    # channel-last input. Its rows in C order are the patch matrix
+    # (n*out_h*out_w, k*k*c) with no copy made; the matching weight layout
+    # is a cheap transpose of the small kernel tensor.
+    n, hp, wp, c = xp.shape
     out_h = (hp - k) // stride + 1
     out_w = (wp - k) // stride + 1
-    xcl = np.zeros((n, hp, wp, c), dtype=x.dtype)
-    xcl[:, pad : pad + h, pad : pad + w, :] = x.transpose(0, 2, 3, 1)
-    sn, sh, sw, sc = xcl.strides
-    view = np.lib.stride_tricks.as_strided(
-        xcl,
+    sn, sh, sw, sc = xp.strides
+    return np.lib.stride_tricks.as_strided(
+        xp,
         shape=(n, out_h, out_w, k, k, c),
         strides=(sn, sh * stride, sw * stride, sh, sw, sc),
+        writeable=False,
     )
-    return np.ascontiguousarray(view).reshape(n * out_h * out_w, k * k * c), out_h, out_w
 
 
 def _col2im(dflat, x_shape, k, stride, pad):
@@ -235,29 +246,40 @@ class _Conv(_Layer):
         return (spec.out_channels, out_h, out_w), {"w": (spec.out_channels, c, k, k), "b": (spec.out_channels,)}
 
     def _w2(self):
-        # (out, k*k*c) to match the im2col feature order.
+        # (out, k*k*c) to match the patch matrix's feature order.
         return np.ascontiguousarray(self.w.transpose(0, 2, 3, 1)).reshape(self.spec.out_channels, -1)
 
     def forward(self, x, train, rng):
+        # x goes once into the interior of a zero-bordered channel-last
+        # buffer, the train cache. Each block's patch rows are copied from
+        # its window view into one reused buffer for one GEMM,
+        # (out, rows) = W2 @ blockᵀ, so the bias adds per row and NCHW is a
+        # copy of whole (out_h*out_w) runs.
         spec = self.spec
-        flat, out_h, out_w = _im2col(x, spec.kernel, spec.stride, spec.pad)
-        n = x.shape[0]
-        # Channel-major (out, n*out_h*out_w): the bias adds per row and NCHW
-        # is a copy of whole (out_h*out_w) blocks. This keeps the bits of
-        # `flat @ W2.T` only because the BLAS sums each dot product in the
-        # same order whichever operand comes first; no BLAS promises that.
-        # The checkpoint pins check it on the BLAS the tests run with.
-        y = self._w2() @ flat.T
-        y += self.b[:, None]
-        y = np.ascontiguousarray(y.reshape(spec.out_channels, n, out_h, out_w).transpose(1, 0, 2, 3))
-        return y, (flat, x.shape)
+        n, c, h, w = x.shape
+        p = spec.pad
+        xp = np.zeros((n, h + 2 * p, w + 2 * p, c), dtype=x.dtype)
+        xp[:, p : p + h, p : p + w, :] = x.transpose(0, 2, 3, 1)
+        windows = _windows(xp, spec.kernel, spec.stride)
+        out_h, out_w = windows.shape[1:3]
+        per_block = min(n, -(-_CONV_BLOCK_BYTES // windows[0].nbytes))
+        block = np.empty((per_block,) + windows.shape[1:], dtype=xp.dtype)
+        w2 = self._w2()
+        y = np.empty((n, spec.out_channels, out_h, out_w))
+        for i in range(0, n, per_block):
+            m = min(per_block, n - i)
+            block[:m] = windows[i : i + m]
+            yb = w2 @ block[:m].reshape(m * out_h * out_w, -1).T
+            yb += self.b[:, None]
+            y[i : i + m] = yb.reshape(spec.out_channels, m, out_h, out_w).transpose(1, 0, 2, 3)
+        return y, (xp if train else None)
 
     def backward(self, dout, cache, need_dx=True):
-        flat, x_shape = cache
         spec = self.spec
         n, o, out_h, out_w = dout.shape
         k = spec.kernel
-        c = x_shape[1]
+        c = self.in_shape[0]
+        flat = np.ascontiguousarray(_windows(cache, k, spec.stride)).reshape(n * out_h * out_w, k * k * c)
         d2 = np.ascontiguousarray(dout.transpose(0, 2, 3, 1)).reshape(-1, o)
         dw = np.ascontiguousarray((d2.T @ flat).reshape(o, k, k, c).transpose(0, 3, 1, 2))
         db = d2.sum(axis=0)
@@ -265,7 +287,7 @@ class _Conv(_Layer):
         if not need_dx:
             return None, grads
         dflat = d2 @ self._w2()
-        return _col2im(dflat, x_shape, spec.kernel, spec.stride, spec.pad), grads
+        return _col2im(dflat, (n, *self.in_shape), k, spec.stride, spec.pad), grads
 
 
 class _Relu(_Layer):
@@ -542,16 +564,17 @@ def train(
     if k == 0 or any(len(clips) == 0 for clips in train_by_class):
         raise ValueError("every class needs at least one training clip")
     rng = make_rng(cfg.seed, stream=1)
+
+    def volume(c):
+        clips = train_by_class[c]
+        return make_volume(clips[rng_uniform(rng, len(clips))], rng)
+
     state = SgdState(net)
     curve = []
     for it in range(cfg.max_iter):
         classes = [(it * cfg.batch_size + i) % k for i in range(cfg.batch_size)]
-        xs = []
-        for c in classes:
-            clips = train_by_class[c]
-            clip = clips[rng_uniform(rng, len(clips))]
-            xs.append(make_volume(clip, rng))
-        batch = np.stack(xs)
+        # The list of volumes is freed once stacked, before the forward.
+        batch = np.stack([volume(c) for c in classes])
         targets = np.asarray(classes, dtype=np.intp)
         loss, grads = net.loss_and_grads(batch, targets, rng)
         if not np.isfinite(loss):

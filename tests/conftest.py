@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 
 from mostream.raster import bilinear_map, make_rng
@@ -29,6 +31,17 @@ def interior_epe(flow, u, v):
     """Mean endpoint error of `flow` against the displacement (u, v) over
     `interior_mask`; u and v are scalars or arrays of the flow's shape."""
     return np.hypot(flow.u - u, flow.v - v)[interior_mask(*flow.shape)].mean()
+
+
+def traced_peak(fn):
+    """Peak bytes traced by `tracemalloc` while `fn()` runs."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -3,6 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from conftest import traced_peak
 from mostream.mos import MosPair
 from mostream.net import (
     ConvSpec,
@@ -14,7 +15,8 @@ from mostream.net import (
     SgdState,
     TinyNet,
     TrainConfig,
-    _im2col,
+    _CONV_BLOCK_BYTES,
+    _Conv,
     _Pool,
     _Relu,
     desk_net_config,
@@ -22,6 +24,7 @@ from mostream.net import (
     load_checkpoint,
     save_checkpoint,
     sgd_step,
+    _windows,
     train,
 )
 from mostream.pipeline import Clip, TrainPipeline
@@ -328,13 +331,77 @@ def reference_im2col(x, k, stride, pad):
 
 
 class TestIm2col:
+    """The patch matrix the conv backward rebuilds from its cache: the window
+    view of the padded channel-last input, copied in C order."""
+
     @pytest.mark.parametrize("k, stride, pad", [(3, 1, 1), (3, 2, 1), (3, 2, 0), (1, 1, 0), (3, 1, 2)])
     def test_matches_pad_then_transpose(self, k, stride, pad):
         x = make_rng(5).normal(size=(2, 3, 7, 6))
-        flat, out_h, out_w = _im2col(x, k, stride, pad)
+        conv = _Conv(ConvSpec(4, kernel=k, stride=stride, pad=pad), x.shape[1:], make_rng(6))
+        windows = _windows(conv.forward(x, True, None)[1], k, stride)
+        n, out_h, out_w = windows.shape[:3]
+        flat = np.ascontiguousarray(windows).reshape(n * out_h * out_w, -1)
         ref, ref_h, ref_w = reference_im2col(x, k, stride, pad)
         assert (out_h, out_w) == (ref_h, ref_w)
         assert flat.shape == ref.shape and flat.tobytes() == ref.tobytes()
+
+
+def reference_conv_forward(conv, x):
+    """The earlier conv forward: the whole batch's patch matrix and one GEMM."""
+    spec = conv.spec
+    flat, out_h, out_w = reference_im2col(x, spec.kernel, spec.stride, spec.pad)
+    y = conv._w2() @ flat.T
+    y += conv.b[:, None]
+    return np.ascontiguousarray(y.reshape(spec.out_channels, x.shape[0], out_h, out_w).transpose(1, 0, 2, 3))
+
+
+class TestBlockedConv:
+    # (input batch shape, output channels, train, GEMM blocks the batch splits into)
+    CASES = [
+        ((16, 20, 32, 32), 16, True, 16),
+        ((10, 20, 32, 32), 16, False, 10),
+        ((10, 16, 16, 16), 32, True, 3),
+        ((3, 4, 12, 12), 16, True, 1),
+    ]
+
+    @pytest.mark.parametrize(
+        "shape, out_channels, train_mode, blocks", CASES, ids=["desk_conv0", "eval_conv0", "partial_conv3", "one_block"]
+    )
+    def test_equals_the_one_gemm_forward(self, shape, out_channels, train_mode, blocks):
+        n, c, h, w = shape
+        conv = _Conv(ConvSpec(out_channels), (c, h, w), make_rng(80))
+        conv.b[...] = make_rng(81).normal(size=conv.b.shape)
+        x = make_rng(82).normal(size=shape)
+        per_sample = h * w * 9 * c * 8
+        assert -(-n // min(n, -(-_CONV_BLOCK_BYTES // per_sample))) == blocks
+        y, cache = conv.forward(x, train_mode, None)
+        ref = reference_conv_forward(conv, x)
+        assert y.shape == ref.shape and y.tobytes() == ref.tobytes()
+        if not train_mode:
+            assert cache is None
+            return
+        assert cache.nbytes == n * (h + 2) * (w + 2) * c * 8
+        padded = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1))).transpose(0, 2, 3, 1)
+        assert cache.shape == padded.shape and cache.tobytes() == np.ascontiguousarray(padded).tobytes()
+
+
+class TestConvMemory:
+    """Traced peaks at the desk shape stay below conv0's patch matrix, which
+    no forward builds whole."""
+
+    def test_train_forward_peaks_below_the_patch_matrix(self):
+        net = TinyNet(desk_net_config(input_shape=(20, 32, 32)), make_rng(83))
+        x = make_rng(84).normal(size=(16, 20, 32, 32))
+        patch_matrix = 16 * 32 * 32 * 9 * 20 * 8
+        peak = traced_peak(lambda: net.forward_with_cache(x, make_rng(85)))
+        assert peak < patch_matrix, (peak, patch_matrix)
+
+    def test_ten_crop_eval_forward_peaks_below_the_patch_matrix(self):
+        net = TinyNet(desk_net_config(input_shape=(20, 32, 32)), make_rng(86))
+        x = make_rng(87).normal(size=(10, 20, 32, 32))
+        patch_matrix = 10 * 32 * 32 * 9 * 20 * 8
+        peak = traced_peak(lambda: net.forward(x))
+        assert peak < patch_matrix, (peak, patch_matrix)
 
 
 class TestRelu:

@@ -1,11 +1,10 @@
 import hashlib
-import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from conftest import interior_epe, interior_mask, shift_image, smooth_texture
+from conftest import interior_epe, interior_mask, shift_image, smooth_texture, traced_peak
 from mostream import tvl1
 from mostream.mos import magnitude
 from mostream.raster import FlowField, make_rng
@@ -41,17 +40,6 @@ MIXED_CLIP_FLOWS_SHA256 = "8fe07321887bcfa9392df854aebbe9f63afd35cb25016fef453fa
 # spread over +-1e308.
 EXTREME_RANGES = [lambda r: r * 1e-310, lambda r: (2.0 * r - 1.0) * 1e308]
 EXTREME_IDS = ["subnormal", "spread_over_range"]
-
-
-def traced_peak(fn):
-    """Peak bytes traced by `tracemalloc` while `fn()` runs."""
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        fn()
-        return tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
 
 
 class TestTvl1Params:
