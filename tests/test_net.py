@@ -19,12 +19,12 @@ from mostream.net import (
     _Conv,
     _Pool,
     _Relu,
+    _windows,
     desk_net_config,
     learning_rate,
     load_checkpoint,
     save_checkpoint,
     sgd_step,
-    _windows,
     train,
 )
 from mostream.pipeline import Clip, TrainPipeline
