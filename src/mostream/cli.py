@@ -64,55 +64,35 @@ def _mos_params(args):
     )
 
 
-def _clip_dirs(args):
-    """(relative_id, input_dir) pairs: one clip, or all manifest clips."""
-    src = Path(args.input)
-    if args.manifest:
-        entries = formats.read_manifest(args.manifest)
-        return [(e.path, src / e.path) for e in entries]
-    return [("", src)]
-
-
 def cmd_flow(args):
     params = _config(Tvl1Params, args)
-    out_root = Path(args.output)
-    for rel, clip_dir in _clip_dirs(args):
-        frames = pipeline.read_clip_frames(clip_dir)
-        flows = video_flows(frames, params)
-        dest = out_root / rel
-        dest.mkdir(parents=True, exist_ok=True)
-        for t, flow in enumerate(flows):
-            formats.write_flo(dest / f"flow_{t:04d}.flo", flow)
+    entries = formats.read_manifest(args.manifest) if args.manifest else None
+    for rel, clip_dir in pipeline.clip_dirs(args.input, entries):
+        flows = video_flows(pipeline.read_clip_frames(clip_dir), params)
+        pipeline.write_flow_sequence(Path(args.output) / rel, flows)
     return 0
 
 
 def cmd_mos(args):
     params = _mos_params(args)
-    out_root = Path(args.output)
-    stream = STREAMS[args.mode]
-    for rel, clip_dir in _clip_dirs(args):
-        flo_paths = list(pipeline.by_index(Path(clip_dir).glob("*.flo"), clip_dir).values())
-        if not flo_paths:
-            raise ValueError(f"no .flo files in {clip_dir}")
-        dest = out_root / rel
-        dest.mkdir(parents=True, exist_ok=True)
-        for t, path in enumerate(flo_paths):
-            pair = stream.code(formats.read_flo(path), params)
-            for prefix, image in zip(stream.prefixes, pair):
-                formats.write_pgm(dest / f"{prefix}_{t:04d}.pgm", image)
+    code = STREAMS[args.mode].code
+    entries = formats.read_manifest(args.manifest) if args.manifest else None
+    for rel, clip_dir in pipeline.clip_dirs(args.input, entries):
+        pairs = [code(flow, params) for flow in pipeline.read_flow_sequence(clip_dir)]
+        pipeline.write_pair_sequence(Path(args.output) / rel, pairs)
     return 0
 
 
 def cmd_volume(args):
     spec = _config(StackSpec, args)
-    out_root = Path(args.output)
-    for rel, clip_dir in _clip_dirs(args):
+    entries = formats.read_manifest(args.manifest) if args.manifest else None
+    for rel, clip_dir in pipeline.clip_dirs(args.input, entries):
         pairs = pipeline.read_pair_sequence(clip_dir)
         if len(pairs) < spec.stack_length:
             raise ValueError(
                 f"{clip_dir}: need {spec.stack_length} pairs for one stack, have {len(pairs)}"
             )
-        dest = out_root / rel
+        dest = Path(args.output) / rel
         dest.mkdir(parents=True, exist_ok=True)
         for start in range(len(pairs) - spec.stack_length + 1):
             vol = stack_volume(pairs, start, spec)

@@ -11,11 +11,11 @@ from typing import Callable
 import numpy as np
 
 from .augment import CropSpec, apply_crop, random_multiscale_crop
-from .formats import FormatError, ManifestEntry, manifest_classes, read_pgm, read_ppm
+from .formats import FormatError, ManifestEntry, manifest_classes, read_flo, read_pgm, read_ppm, write_flo, write_pgm
 from .fusion import pairs_from_frames
 from .mos import STREAMS, MosParams, stream_of
 from .net import DEFAULT_INPUT_SIDE
-from .raster import Rng, to_gray
+from .raster import FlowField, Rng, to_gray
 from .tvl1 import Tvl1Params
 from .volume import StackSpec, sample_train_start, stack_volume
 
@@ -68,36 +68,74 @@ def by_index(paths, where) -> dict:
     return dict(sorted(out.items()))
 
 
-def read_clip_frames(clip_dir) -> list[np.ndarray]:
-    """Grayscale float frames from a directory of PGM/PPM files, in the
-    order of their names' integer index (`by_index`); every frame must have
-    the first frame's size."""
-    clip_dir = Path(clip_dir)
-    frame_files = (p for p in clip_dir.iterdir() if p.suffix.lower() in FRAME_SUFFIXES)
-    paths = list(by_index(frame_files, clip_dir).values())
+def clip_dirs(root, entries: list[ManifestEntry] | None = None) -> list[tuple[str, Path]]:
+    """(manifest path, directory) of every clip, in manifest order:
+    `root / path` per entry, or `("", root)` for one clip without a manifest.
+
+    Every directory is checked before the list is returned, so a missing
+    clip is reported before any clip is read.
+    """
+    root = Path(root)
+    dirs = [(e.path, root / e.path) for e in entries] if entries is not None else [("", root)]
+    for _, clip_dir in dirs:
+        if not clip_dir.is_dir():
+            raise ValueError(f"clip directory missing: {clip_dir}")
+    return dirs
+
+
+def _read_numbered(clip_dir, files, read, kind) -> list:
+    """`read` of each of a clip's `files`, in `by_index` order. A clip with
+    none raises ValueError naming `kind`, and every result must have the
+    first file's size (`_check_one_size`)."""
+    paths = list(by_index(files, clip_dir).values())
     if not paths:
-        raise ValueError(f"no frame files (*.pgm, *.ppm) in {clip_dir}")
-    frames = []
-    for p in paths:
-        if p.suffix.lower() == ".pgm":
-            frames.append(read_pgm(p).astype(np.float64))
-        else:
-            frames.append(to_gray(read_ppm(p)))
-    _check_one_size(paths, frames)
-    return frames
+        raise ValueError(f"no {kind} in {clip_dir}")
+    items = [read(p) for p in paths]
+    _check_one_size(paths, items)
+    return items
 
 
 def _check_one_size(paths, images):
-    """Raise FormatError naming the first file whose image size differs
-    from the clip's first image."""
+    """Raise FormatError naming the first file whose image (or flow) size
+    differs from the clip's first one."""
     for path, image in zip(paths, images):
         if image.shape != images[0].shape:
             (h, w), (h0, w0) = image.shape, images[0].shape
             raise FormatError(f"{path}: image is {w}x{h}, but {paths[0].name} is {w0}x{h0}")
 
 
+def _read_frame(path) -> np.ndarray:
+    if path.suffix.lower() == ".pgm":
+        return read_pgm(path).astype(np.float64)
+    return to_gray(read_ppm(path))
+
+
+def read_clip_frames(clip_dir) -> list[np.ndarray]:
+    """Grayscale float frames from a directory of PGM/PPM files, in the
+    order of their names' integer index (`by_index`); every frame must have
+    the first frame's size."""
+    clip_dir = Path(clip_dir)
+    frame_files = (p for p in clip_dir.iterdir() if p.suffix.lower() in FRAME_SUFFIXES)
+    return _read_numbered(clip_dir, frame_files, _read_frame, "frame files (*.pgm, *.ppm)")
+
+
+def read_flow_sequence(clip_dir) -> list[FlowField]:
+    """The `.flo` flows of a clip directory, in `by_index` order; every flow
+    must have the first flow's size."""
+    clip_dir = Path(clip_dir)
+    return _read_numbered(clip_dir, clip_dir.glob("*.flo"), read_flo, ".flo files")
+
+
+def write_flow_sequence(dest, flows) -> None:
+    """Write `flows` as `dest/flow_NNNN.flo`, NNNN the flow's position."""
+    dest = Path(dest)
+    dest.mkdir(parents=True, exist_ok=True)
+    for t, flow in enumerate(flows):
+        write_flo(dest / f"flow_{t:04d}.flo", flow)
+
+
 def read_pair_sequence(clip_dir) -> list:
-    """Byte-image pairs from a directory `mostream mos` wrote, in index order.
+    """Byte-image pairs from a directory `write_pair_sequence` wrote, in index order.
 
     The stream kind comes from the file names, `<prefix>_NNNN.pgm` with a
     kind's two prefixes from `mos.STREAMS`. Files pair and are ordered by
@@ -122,19 +160,26 @@ def read_pair_sequence(clip_dir) -> list:
     raise ValueError(f"no {kinds} PGM pairs in {clip_dir}")
 
 
+def write_pair_sequence(dest, pairs) -> None:
+    """Write a non-empty list of byte pairs as `dest/<prefix>_NNNN.pgm`,
+    with the two prefixes of their stream kind (`mos.stream_of`)."""
+    dest = Path(dest)
+    prefixes = STREAMS[stream_of(pairs)].prefixes
+    dest.mkdir(parents=True, exist_ok=True)
+    for t, pair in enumerate(pairs):
+        for prefix, image in zip(prefixes, pair):
+            write_pgm(dest / f"{prefix}_{t:04d}.pgm", image)
+
+
 def _group_clips(entries: list[ManifestEntry], root, pairs_of: Callable, progress=None) -> ClipDataset:
-    """Group manifest entries into a ClipDataset; `pairs_of(root / path)`
+    """Group manifest entries into a ClipDataset; `pairs_of(clip_dir)`
     gives a clip's byte pairs. Missing clip directories are reported
-    before any file is read."""
-    root = Path(root)
+    before any file is read (`clip_dirs`)."""
     classes = manifest_classes(entries)
-    for e in entries:
-        if not (root / e.path).is_dir():
-            raise ValueError(f"clip directory missing: {root / e.path}")
     train_by_class = [[] for _ in classes]
     test_clips = []
-    for i, e in enumerate(entries):
-        clip = Clip(e.path, e.class_index, pairs_of(root / e.path))
+    for i, (e, (_, clip_dir)) in enumerate(zip(entries, clip_dirs(root, entries))):
+        clip = Clip(e.path, e.class_index, pairs_of(clip_dir))
         if e.split == "train":
             train_by_class[e.class_index].append(clip)
         else:

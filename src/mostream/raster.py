@@ -42,6 +42,9 @@ class RescaleBounds:
             raise ValueError(f"rescale bounds must be finite, got ({self.low}, {self.high})")
         if not self.low < self.high:
             raise ValueError(f"rescale bounds require low < high, got ({self.low}, {self.high})")
+        # The byte scale 255 * (value - low) / (high - low) must stay finite for in-range values.
+        if not np.isfinite(255.0 * (self.high - self.low)):
+            raise ValueError(f"rescale bounds ({self.low}, {self.high}) span too wide a range to scale to bytes")
 
 
 @dataclass(frozen=True)

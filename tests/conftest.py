@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 
+from mostream.mos import MosPair
 from mostream.raster import bilinear_map, make_rng
 from mostream.synth import _texture
 
@@ -9,6 +10,19 @@ from mostream.synth import _texture
 def smooth_texture(seed, h, w):
     """Seeded smoothed-noise texture scaled to [0, 255], by synth's rule."""
     return _texture(make_rng(seed), h, w)
+
+
+def random_pairs(seed, count, h, w):
+    """`count` MosPairs of seeded random (h, w) bytes, drawn magnitude then
+    orientation, pair by pair."""
+    rng = make_rng(seed)
+    return [
+        MosPair(
+            rng.integers(0, 256, (h, w), dtype=np.uint8),
+            rng.integers(0, 256, (h, w), dtype=np.uint8),
+        )
+        for _ in range(count)
+    ]
 
 
 def shift_image(img, dx, dy):

@@ -672,6 +672,43 @@ class TestHostileInputs:
         assert err.count("\n") == 1 and err.startswith("error: ") and message in err, err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["flow", "mos", "volume"])
+    def test_manifest_clip_missing_before_any_clip(self, tiny_dataset, tiny_flows, tiny_pairs, tmp_path, capsys,
+                                                   monkeypatch, command):
+        # The manifest's last clip has no directory; no clip may be solved, read or written.
+        tree = {"flow": tiny_dataset, "mos": tiny_flows, "volume": tiny_pairs}[command]
+        manifest = tmp_path / "m.tsv"
+        manifest.write_text((tiny_dataset / "manifest.tsv").read_text() + "down_s2/clip_999\tdown_s2\t1\ttest\n")
+        calls = []
+        monkeypatch.setattr(cli, "video_flows", lambda *args: calls.append(args))
+        out = tmp_path / "out"
+        assert main([command, str(tree), str(out), "--manifest", str(manifest)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: "), err
+        assert f"clip directory missing: {tree / 'down_s2/clip_999'}" in err
+        assert not out.exists() and calls == []
+
+    def test_mos_names_a_flow_of_another_size(self, tmp_path, capsys):
+        flows = tmp_path / "flows"
+        flows.mkdir()
+        for t in range(8):
+            side = 32 if t == 5 else 64
+            write_flo(flows / f"flow_{t:04d}.flo", FlowField(np.full((side, side), 2.0), np.zeros((side, side))))
+        assert main(["mos", str(flows), str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: "), err
+        assert "flow_0005.flo: image is 32x32, but flow_0000.flo is 64x64" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_mos_bounds_too_wide_to_scale(self, tiny_dataset, tiny_flows, tmp_path, capsys):
+        clip = read_manifest(tiny_dataset / "manifest.tsv")[0].path
+        out = tmp_path / "out"
+        # `--flag=value`, since argparse reads a bare -1e308 as an option.
+        assert main(["mos", str(tiny_flows / clip), str(out), "--mag-low=-1e308", "--mag-high=1e308"]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ") and "(-1e+308, 1e+308)" in err, err
+        assert not out.exists()
+
     def test_flow_names_a_frame_of_another_size(self, tiny_dataset, tmp_path, capsys):
         clip = tmp_path / "clip"
         shutil.copytree(tiny_dataset / read_manifest(tiny_dataset / "manifest.tsv")[0].path, clip)

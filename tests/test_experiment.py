@@ -3,6 +3,7 @@ which stacks to exactly the full volume with its magnitude channels 0.0."""
 
 import numpy as np
 
+from conftest import random_pairs
 from mostream import fusion
 from mostream.augment import apply_crop, random_multiscale_crop
 from mostream.experiment import orientation_only_dataset
@@ -15,15 +16,7 @@ from mostream.volume import StackSpec, sample_train_start, stack_volume
 
 
 def random_clip(seed, video_id="clip", class_index=0, count=12, side=24):
-    rng = make_rng(seed)
-    pairs = [
-        MosPair(
-            rng.integers(0, 256, (side, side), dtype=np.uint8),
-            rng.integers(0, 256, (side, side), dtype=np.uint8),
-        )
-        for _ in range(count)
-    ]
-    return Clip(video_id, class_index, pairs)
+    return Clip(video_id, class_index, random_pairs(seed, count, side, side))
 
 
 def ablate(clip):

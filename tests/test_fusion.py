@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import random_pairs
 from mostream.augment import apply_crop, ten_crops
 from mostream.fusion import (
     DEFAULT_TEST_CROP_FRACTION,
@@ -13,7 +14,6 @@ from mostream.fusion import (
     predict_from_pairs,
     VideoPrediction,
 )
-from mostream.mos import MosPair
 from mostream.net import FcSpec, NetConfig, TinyNet, desk_net_config
 from mostream.raster import make_rng
 from mostream.volume import StackSpec, sample_test_starts, stack_volume
@@ -90,28 +90,17 @@ class ConstantNet:
         return np.tile(self.scores, (n, 1))
 
 
-def fake_pairs(seed, count, h=16, w=16):
-    rng = make_rng(seed)
-    return [
-        MosPair(
-            rng.integers(0, 256, (h, w), dtype=np.uint8),
-            rng.integers(0, 256, (h, w), dtype=np.uint8),
-        )
-        for _ in range(count)
-    ]
-
-
 class TestPredict:
     def test_250_forward_passes_default_protocol(self):
         net = ConstantNet([0.5, 0.3, 0.2], (6, 14, 14))
-        pairs = fake_pairs(0, 40)
+        pairs = random_pairs(0, 40, 16, 16)
         params = PredictParams(stack=StackSpec(3), k_samples=25, out_side=14)
         predict_from_pairs(net, pairs, params, "vid")
         assert net.samples_seen == 250
 
     def test_constant_net_returns_constant(self):
         net = ConstantNet([0.5, 0.3, 0.2], (6, 14, 14))
-        pairs = fake_pairs(1, 12)
+        pairs = random_pairs(1, 12, 16, 16)
         params = PredictParams(stack=StackSpec(3), k_samples=4, out_side=14)
         pred = predict_from_pairs(net, pairs, params, "vid")
         assert np.allclose(pred.scores, [0.5, 0.3, 0.2])
@@ -119,7 +108,7 @@ class TestPredict:
 
     def test_single_sample_crop_equals_frame(self):
         net = ConstantNet([0.9, 0.1], (2, 16, 16))
-        pairs = fake_pairs(2, 1)
+        pairs = random_pairs(2, 1, 16, 16)
         params = PredictParams(stack=StackSpec(1), k_samples=1, out_side=16)
         pred = predict_from_pairs(net, pairs, params, "vid")
         assert net.samples_seen == 10
@@ -128,12 +117,12 @@ class TestPredict:
     def test_too_short_video(self):
         net = ConstantNet([1.0, 0.0], (20, 14, 14))
         with pytest.raises(ValueError, match="at least 11 frames"):
-            predict_from_pairs(net, fake_pairs(3, 5), PredictParams(out_side=14), "vid")
+            predict_from_pairs(net, random_pairs(3, 5, 16, 16), PredictParams(out_side=14), "vid")
 
     def test_prediction_is_deterministic(self):
         config = NetConfig(input_shape=(6, 14, 14), num_classes=3, layers=(FcSpec(3),))
         model = TinyNet(config, make_rng(45))
-        pairs = fake_pairs(46, 9)
+        pairs = random_pairs(46, 9, 16, 16)
         params = PredictParams(stack=StackSpec(3), k_samples=5, out_side=14)
         first = predict_from_pairs(model, pairs, params, "v")
         second = predict_from_pairs(model, pairs, params, "v")
@@ -186,7 +175,7 @@ class TestRepeatedStarts:
         ],
     )
     def test_one_forward_per_distinct_start_same_bits(self, monkeypatch, pair_count, stack_length, k, distinct, frame):
-        pairs = fake_pairs(60 + pair_count, pair_count, *frame)
+        pairs = random_pairs(60 + pair_count, pair_count, *frame)
         params = PredictParams(stack=StackSpec(stack_length), k_samples=k, out_side=14)
         model = TinyNet(desk_net_config(input_shape=(2 * stack_length, 14, 14), num_classes=4), make_rng(61))
         expected = reference_scores(model, pairs, params)

@@ -50,6 +50,16 @@ class TestRescaleToByte:
     def test_monotone(self, value, delta):
         assert rescale_to_byte(value, MAG_BOUNDS) <= rescale_to_byte(value + delta, MAG_BOUNDS)
 
+    def test_bounds_whose_byte_scale_overflows_rejected(self):
+        # 255 * (high - low) is inf here: the coder would cast NaN to bytes.
+        with pytest.raises(ValueError, match=r"\(-1e\+308, 1e\+308\)"):
+            RescaleBounds(-1e308, 1e308)
+
+    def test_widest_accepted_bounds_still_code(self):
+        bounds = RescaleBounds(-1e305, 1e305)
+        assert rescale_to_byte(0.0, bounds) == 128
+        assert rescale_image(np.array([-1e305, 0.0, 1e305]), bounds).tolist() == [0, 128, 255]
+
     def test_vector_matches_scalar(self):
         values = np.linspace(-30, 30, 301)
         img = rescale_image(values.reshape(1, -1), MAG_BOUNDS)

@@ -1,16 +1,21 @@
+import re
+
 import numpy as np
 import pytest
 
+from conftest import random_pairs
 from mostream.augment import apply_crop, five_crops, random_multiscale_crop
 from mostream.formats import FormatError, ManifestEntry, read_pgm, write_pgm
 from mostream.mos import MosPair, XyPair
 from mostream.pipeline import (
     Clip,
     TrainPipeline,
+    clip_dirs,
     load_dataset,
     load_pair_dataset,
     read_clip_frames,
     read_pair_sequence,
+    write_pair_sequence,
 )
 from mostream.raster import make_rng
 from mostream.synth import SyntheticSpec, gen_synthetic
@@ -99,6 +104,28 @@ class TestReadPairSequence:
             read_pair_sequence(tmp_path)
 
 
+class TestClipDirs:
+    def test_manifest_order_and_first_missing_named(self, tmp_path):
+        entries = [ManifestEntry(path, "x", 0, "train") for path in ("b/c1", "a/c0", "c/gone", "d/gone")]
+        for e in entries[:2]:
+            (tmp_path / e.path).mkdir(parents=True)
+        assert clip_dirs(tmp_path, entries[:2]) == [("b/c1", tmp_path / "b/c1"), ("a/c0", tmp_path / "a/c0")]
+        with pytest.raises(ValueError, match=f"clip directory missing: {re.escape(str(tmp_path / 'c/gone'))}$"):
+            clip_dirs(tmp_path, entries)
+
+    def test_one_clip_without_manifest(self, tmp_path):
+        assert clip_dirs(tmp_path) == [("", tmp_path)]
+
+
+@pytest.mark.parametrize("pair", [MosPair, XyPair])
+def test_written_pairs_read_back(tmp_path, pair):
+    pairs = [pair(*p) for p in random_pairs(8, 3, 4, 5)]
+    write_pair_sequence(tmp_path / "clip", pairs)
+    got = read_pair_sequence(tmp_path / "clip")
+    assert [type(p) for p in got] == [pair] * 3
+    assert all(np.array_equal(a, b) for want, have in zip(pairs, got) for a, b in zip(want, have))
+
+
 class TestLoadDataset:
     def test_splits_and_pair_counts(self, tmp_path):
         spec = SyntheticSpec(
@@ -142,25 +169,14 @@ class TestLoadPairDataset:
 
 
 class TestTrainPipeline:
-    def make_clip(self, seed, h=24, w=24, count=12):
-        rng = make_rng(seed)
-        pairs = [
-            MosPair(
-                rng.integers(0, 256, (h, w), dtype=np.uint8),
-                rng.integers(0, 256, (h, w), dtype=np.uint8),
-            )
-            for _ in range(count)
-        ]
-        return Clip("clip", 0, pairs)
-
     def test_volume_shape(self):
         pipe = TrainPipeline(stack=StackSpec(10), out_side=16)
-        vol = pipe.make_volume(self.make_clip(2), make_rng(3))
+        vol = pipe.make_volume(Clip("clip", 0, random_pairs(2, 12, 24, 24)), make_rng(3))
         assert vol.shape == (20, 16, 16)
 
     def test_deterministic_given_rng(self):
         pipe = TrainPipeline(stack=StackSpec(4), out_side=16)
-        clip = self.make_clip(4)
+        clip = Clip("clip", 0, random_pairs(4, 12, 24, 24))
         a = pipe.make_volume(clip, make_rng(5))
         b = pipe.make_volume(clip, make_rng(5))
         assert np.array_equal(a, b)
@@ -170,7 +186,7 @@ class TestTrainPipeline:
         # make_volume stacks only the crop window's bytes; the volume must be
         # the bytes of cropping the whole stack with the same draws.
         pipe = TrainPipeline(stack=StackSpec(10), out_side=32)
-        clip = self.make_clip(6, h, w, count=11)
+        clip = Clip("clip", 0, random_pairs(6, 11, h, w))
         sizes, positions, flips = set(), set(), set()
         for i in range(400):
             got = pipe.make_volume(clip, make_rng(7, i))

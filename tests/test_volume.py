@@ -3,6 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import random_pairs
+
 from mostream.mos import MosPair
 from mostream.raster import make_rng
 from mostream.volume import (
@@ -14,27 +16,16 @@ from mostream.volume import (
 )
 
 
-def byte_pairs(seed, count, h=4, w=4):
-    rng = make_rng(seed)
-    return [
-        MosPair(
-            rng.integers(0, 256, (h, w), dtype=np.uint8),
-            rng.integers(0, 256, (h, w), dtype=np.uint8),
-        )
-        for _ in range(count)
-    ]
-
-
 class TestStackVolume:
     def test_single_pair_layout(self):
-        pairs = byte_pairs(0, 1)
+        pairs = random_pairs(0, 1, 4, 4)
         vol = stack_volume(pairs, 0, StackSpec(1))
         assert vol.shape == (2, 4, 4)
         assert np.allclose(vol[0], normalize_byte(pairs[0].magnitude))
         assert np.allclose(vol[1], normalize_byte(pairs[0].orientation))
 
     def test_ten_pair_stack(self):
-        pairs = byte_pairs(1, 10)
+        pairs = random_pairs(1, 10, 4, 4)
         vol = stack_volume(pairs, 0, StackSpec(10))
         assert vol.shape == (20, 4, 4)
         for k in range(10):
@@ -53,20 +44,20 @@ class TestStackVolume:
         assert vol[0, 0, 0].item() == -1.0
 
     def test_start_offset(self):
-        pairs = byte_pairs(2, 5)
+        pairs = random_pairs(2, 5, 4, 4)
         vol = stack_volume(pairs, 3, StackSpec(2))
         assert np.allclose(vol[0], normalize_byte(pairs[3].magnitude))
         assert np.allclose(vol[3], normalize_byte(pairs[4].orientation))
 
     def test_insufficient_pairs(self):
-        pairs = byte_pairs(3, 4)
+        pairs = random_pairs(3, 4, 4, 4)
         with pytest.raises(ValueError, match="need 10 pairs from start 0, have 4"):
             stack_volume(pairs, 0, StackSpec(10))
 
     @given(st.integers(0, 2**31 - 1), st.integers(1, 5), st.integers(0, 3))
     @settings(max_examples=50, deadline=None)
     def test_pure_relabeling(self, seed, length, start):
-        pairs = byte_pairs(seed, start + length, h=3, w=2)
+        pairs = random_pairs(seed, start + length, 3, 2)
         vol = stack_volume(pairs, start, StackSpec(length))
         source = []
         for k in range(length):
